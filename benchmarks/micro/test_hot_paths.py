@@ -35,8 +35,8 @@ def test_spectrum_fold(run_once):
     result = run_once(bench_spectrum)
     assert result.unit == "events/s"
     assert result.value > 500
-    # Eq. 3 accounting: every event folded or retired pays F operations
-    assert result.extra["operations"] % 701 == 0
+    # Eq. 3 accounting: every added event pays F = 701 operations once
+    assert result.extra["operations"] == result.work * 701
 
 
 def test_detector_pairs(run_once):

@@ -3,7 +3,9 @@
 Consumes batches of trace events (from the qtrace download agent or from a
 recorded trace), maintains a sliding observation window of ``H`` ns, and on
 demand runs spectrum + peak detection to produce a
-:class:`PeriodEstimate`.
+:class:`PeriodEstimate`.  The window is a :class:`~repro.core.spectrum.Spectrum`,
+so an analysis evaluates trig only for the events that arrived since the
+last one.
 
 The analyser is deliberately oblivious to *what* the events are — syscall
 entries, exits, or scheduler wake-ups all work, as long as the application
@@ -12,13 +14,12 @@ emits them in periodic bursts (§4.2's founding assumption).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.peaks import PeakConfig, PeakDetector, PeakResult
-from repro.core.spectrum import SpectrumConfig, sparse_amplitude_spectrum
+from repro.core.spectrum import Spectrum, SpectrumConfig
 from repro.sim.time import SEC
 from repro.tracer.events import TraceEvent
 
@@ -76,8 +77,8 @@ class PeriodAnalyser:
     def __init__(self, config: AnalyserConfig | None = None) -> None:
         self.config = config or AnalyserConfig()
         self._detector = PeakDetector(self.config.peaks)
-        self._freqs = self.config.spectrum.frequencies()
-        self._times: deque[int] = deque()
+        #: the observation window: its events and their spectrum columns
+        self._spectrum = Spectrum(self.config.spectrum, horizon_ns=self.config.horizon_ns)
         #: most recent estimate (None until the first success)
         self.last_estimate: PeriodEstimate | None = None
         #: history of (analysis time, estimate-or-None)
@@ -109,7 +110,7 @@ class PeriodAnalyser:
                 self.anomalies["duplicate"] = self.anomalies.get("duplicate", 0) + 1
                 return False
         self._last_accepted = t
-        self._times.append(t)
+        self._spectrum.add_event(t)
         return True
 
     def add_times(self, times_ns) -> None:
@@ -121,21 +122,16 @@ class PeriodAnalyser:
         """Sink interface for :meth:`repro.tracer.qtrace.QTracer.add_sink`."""
         for ev in batch:
             self._accept(ev.time)
-        self._evict(now)
+        self._spectrum.slide_to(now)
 
     def note_overrun(self, n: int) -> None:
         """Record ``n`` events lost to ring overwrite before download."""
         self.overruns += n
 
-    def _evict(self, now: int) -> None:
-        cutoff = now - self.config.horizon_ns
-        while self._times and self._times[0] < cutoff:
-            self._times.popleft()
-
     @property
     def n_events(self) -> int:
         """Events currently inside the observation window."""
-        return len(self._times)
+        return len(self._spectrum)
 
     # ------------------------------------------------------------------
     # analysis
@@ -143,12 +139,14 @@ class PeriodAnalyser:
     def window_times(self, now: int | None = None) -> np.ndarray:
         """Timestamps inside the window ending at ``now`` (default: all)."""
         if now is not None:
-            self._evict(now)
-        return np.fromiter(self._times, dtype=np.int64, count=len(self._times))
+            self._spectrum.slide_to(now)
+        return np.array(self._spectrum.times, dtype=np.int64)
 
     def spectrum(self, now: int | None = None) -> np.ndarray:
         """Amplitude spectrum of the current window."""
-        return sparse_amplitude_spectrum(self.window_times(now), self._freqs)
+        if now is not None:
+            self._spectrum.slide_to(now)
+        return self._spectrum.amplitude()
 
     def analyse(self, now: int | None = None) -> PeriodEstimate | None:
         """Run detection on the current window.
@@ -157,13 +155,15 @@ class PeriodAnalyser:
         declares the event train non-periodic.  Successful estimates are
         also stored in :attr:`last_estimate`.
         """
-        times = self.window_times(now)
-        stamp = now if now is not None else (int(times[-1]) if times.size else 0)
-        if times.size < self.config.min_events:
+        spectrum = self._spectrum
+        if now is not None:
+            spectrum.slide_to(now)
+        n_events = len(spectrum)
+        stamp = now if now is not None else (spectrum.times[-1] if n_events else 0)
+        if n_events < self.config.min_events:
             self.history.append((stamp, None))
             return None
-        amp = sparse_amplitude_spectrum(times, self._freqs)
-        result = self._detector.detect(self._freqs, amp)
+        result = self._detector.detect(spectrum.freqs, spectrum.amplitude())
         if result.frequency is None or result.frequency <= 0:
             self.history.append((stamp, None))
             return None
@@ -178,7 +178,7 @@ class PeriodAnalyser:
         estimate = PeriodEstimate(
             frequency=result.frequency,
             period_ns=period_ns,
-            n_events=int(times.size),
+            n_events=n_events,
             detail=result,
         )
         self.last_estimate = estimate

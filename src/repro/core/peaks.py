@@ -120,6 +120,9 @@ def local_maxima(amplitude: np.ndarray) -> np.ndarray:
 class PeakDetector:
     """Runs the §4.3.1 heuristic on a sampled amplitude spectrum."""
 
+    #: most samples gathered into one block of harmonic windows
+    _GATHER_LIMIT = 1 << 16
+
     def __init__(self, config: PeakConfig | None = None) -> None:
         self.config = config or PeakConfig()
 
@@ -144,44 +147,60 @@ class PeakDetector:
         maxima = local_maxima(amp)
         reference = float(amp.max() if self.config.alpha_ref == "max" else amp.mean())
         threshold = self.config.alpha * reference
-        last = freqs.size - 1
-        candidates = [
-            int(i)
-            for i in maxima
-            if 0 < i < last and amp[i] >= threshold and amp[i] > 0
-        ]
-        if not candidates:
+        maxima = maxima[(maxima > 0) & (maxima < freqs.size - 1)]
+        peak_amp = amp[maxima]
+        candidates = maxima[(peak_amp >= threshold) & (peak_amp > 0)]
+        if not candidates.size:
             return PeakResult(frequency=None, elements_examined=examined)
 
-        # steps 4-5: harmonic accumulation with tolerance ε, capped at k_max
-        df = float(freqs[1] - freqs[0]) if freqs.size > 1 else 1.0
-        f_max = float(freqs[-1])
-        f_min = float(freqs[0])
-        eps = self.config.epsilon
-        sums: list[float] = []
-        for idx in candidates:
-            f_i = float(freqs[idx])
-            total = 0.0
-            harmonics = min(int(f_max / f_i), self.config.k_max)
-            for h in range(1, harmonics + 1):
-                lo = h * f_i - eps
-                hi = h * f_i + eps
-                i0 = max(0, int(np.ceil((lo - f_min) / df)))
-                i1 = min(freqs.size - 1, int(np.floor((hi - f_min) / df)))
-                if i1 >= i0:
-                    total += float(amp[i0 : i1 + 1].sum())
-                    examined += i1 - i0 + 1
-            sums.append(total)
-
+        f_cand = freqs[candidates]
+        sums, window_elements = self._harmonic_sums(freqs, amp, f_cand)
         best = int(np.argmax(sums))
         return PeakResult(
-            frequency=float(freqs[candidates[best]]),
-            candidates=[float(freqs[i]) for i in candidates],
-            harmonic_sums=sums,
-            elements_examined=examined,
+            frequency=float(f_cand[best]),
+            candidates=f_cand.tolist(),
+            harmonic_sums=sums.tolist(),
+            elements_examined=examined + window_elements,
             peak_amplitude=float(amp[candidates[best]]),
             mean_amplitude=float(amp.mean()),
         )
+
+    def _harmonic_sums(
+        self, freqs: np.ndarray, amp: np.ndarray, f_cand: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Steps 4-5: each candidate's harmonic sum Σ_i, and the samples read.
+
+        For candidate ``f_i`` and each multiple ``h <= min(f_max/f_i,
+        k_max)``, sum the samples in ``[h·f_i - ε, h·f_i + ε]``.  All
+        (candidate, h) windows are handled at once: windows of one width
+        are gathered into a 2-D block and summed row-wise, which rounds
+        exactly like summing each window's slice on its own, and each
+        candidate then adds its window sums in harmonic order.
+        """
+        n = freqs.size
+        df = float(freqs[1] - freqs[0])
+        f_min, f_max = float(freqs[0]), float(freqs[-1])
+        eps = self.config.epsilon
+        n_harm = np.trunc(np.clip(f_max / f_cand, 0, self.config.k_max)).astype(np.intp)
+        cand = np.repeat(np.arange(f_cand.size), n_harm)
+        h = np.arange(n_harm.sum()) - np.repeat(np.cumsum(n_harm) - n_harm, n_harm) + 1
+        centre = h * f_cand[cand]
+        i0 = np.maximum(np.ceil((centre - eps - f_min) / df), 0).astype(np.intp)
+        i1 = np.minimum(np.floor((centre + eps - f_min) / df), n - 1).astype(np.intp)
+        width = np.maximum(i1 - i0 + 1, 0)  # 0: no sample inside the window
+        window_sums = np.zeros((f_cand.size, int(n_harm.max(initial=0))))
+        # the distinct widths; np.unique would import numpy.ma (~1 MB)
+        for w in (np.flatnonzero(np.bincount(width)[1:]) + 1).tolist():
+            sel = np.nonzero(width == w)[0]
+            step = max(1, self._GATHER_LIMIT // w)  # bounds the block for wide windows
+            for c0 in range(0, sel.size, step):
+                chunk = sel[c0 : c0 + step]
+                block = amp[i0[chunk, None] + np.arange(w)]
+                window_sums[cand[chunk], h[chunk] - 1] = block.sum(axis=1)
+        sums = np.zeros(f_cand.size)
+        for column in window_sums.T:
+            sums += column
+        return sums, int(width.sum())
 
 
 def expected_elements(

@@ -16,15 +16,19 @@ signal would be null most of the time").
 Two interfaces are provided:
 
 - :func:`sparse_amplitude_spectrum` — one-shot, vectorised over numpy;
-- :class:`Spectrum` — incremental accumulator with exact event retirement
-  (the transform is linear, so sliding the observation window means
-  *subtracting* the contributions of expired events), plus the operation
-  counter of Eq. 3 for the overhead studies of Figures 6–7.
+- :class:`Spectrum` — the same spectrum over a sliding observation window,
+  incremental as the paper intends: each event's column of
+  ``(cos ωt, sin ωt)`` values is evaluated once and reused until the event
+  leaves the window, so refreshing the spectrum costs trig only for the
+  events added since the last refresh.  Its amplitude is bitwise equal to
+  the one-shot result, and it carries the operation counter of Eq. 3 for
+  the overhead studies of Figures 6–7.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,24 +95,56 @@ def sparse_amplitude_spectrum(times_ns: np.ndarray, freqs_hz: np.ndarray) -> np.
 class Spectrum:
     """Incremental sparse spectrum over a sliding observation window.
 
-    Events enter with :meth:`add_event`; :meth:`slide_to` retires events
-    older than the configured horizon by subtracting their contribution
-    (exact, by linearity of the transform).  :attr:`operations` counts the
-    complex exponentiations performed so far — the quantity Eq. 3 bounds.
+    Events enter with :meth:`add_event` / :meth:`add_events`;
+    :meth:`slide_to` retires events older than the configured horizon.
+    Each event's contribution ``e^{-jωt}`` is one column of
+    ``(cos ωt, sin ωt)`` values over the frequency grid.  A column is
+    evaluated once, on the first :meth:`amplitude` call after its event
+    arrived, and kept until the event leaves the window: retirement only
+    advances the window's first column, and nothing is ever subtracted.
+    :meth:`amplitude` sums the window's columns row by row exactly as
+    :func:`sparse_amplitude_spectrum` sums its phase matrix, so the two
+    are bitwise equal.  :attr:`operations` counts the complex
+    exponentiations of Eq. 3, charged when an event is added.
+
+    The columns live in two flat float64 buffers.  Row ``r`` of the
+    window (frequency sample ``r``, one value per windowed event) is the
+    contiguous run ``flat[r·stride + start : r·stride + stop]``, and the
+    stride is wider than the window, so every row ends in the slots that
+    the next row's retired columns held: new columns are written just past
+    the end of every row, retirement advances ``start``, and the window
+    drifts right through the buffers without anything being copied.  The
+    rows move (to the front, at a new stride if need be) only when the
+    window outgrows its stride, or has drifted ``_SLIDE`` columns.  The
+    buffers hold 16 B per frequency sample per windowed event, plus about
+    10% headroom in the stride and 16 B per column of drift room; they
+    resize in place (``ndarray.resize``), growing with the window and
+    shrinking once it has fallen well below the stride, so the window is
+    never held twice.
     """
+
+    #: rows moved per slice assignment when the rows move (bounds numpy's
+    #: temporary copy of an overlapping source)
+    _ROW_BLOCK = 64
+    #: columns the window may drift before its rows move back to the front
+    _SLIDE = 8192
 
     def __init__(self, config: SpectrumConfig | None = None, *, horizon_ns: int | None = None) -> None:
         self.config = config or SpectrumConfig()
         self.freqs = self.config.frequencies()
-        self._omega = 2.0 * np.pi * self.freqs
-        #: ``-jω`` precomputed: the batched fold evaluates the same
-        #: ``exp((-1j·ω)·t)`` product the per-event path does
-        self._jomega = -1.0j * self._omega
-        self._acc = np.zeros(self.freqs.size, dtype=np.complex128)
         self._times: deque[int] = deque()
         self.horizon_ns = horizon_ns
-        #: complex exponentiations performed (Eq. 3 accounting)
+        #: complex exponentiations charged so far (Eq. 3 accounting)
         self.operations = 0
+        # the buffers own their memory (so they can resize in place); the
+        # column of window event k is at [r * _stride + _start + k] for row
+        # r, and events past the _stop - _start oldest ones have no column
+        # yet
+        self._cos = np.zeros(0)
+        self._sin = np.zeros(0)
+        self._stride = 0
+        self._start = 0
+        self._stop = 0
 
     def __len__(self) -> int:
         return len(self._times)
@@ -119,61 +155,16 @@ class Spectrum:
         of insertion)."""
         return list(self._times)
 
-    def _contribution(self, t_ns: int) -> np.ndarray:
-        self.operations += self.freqs.size
-        return np.exp(-1.0j * self._omega * (t_ns / SEC))
-
     def add_event(self, t_ns: int) -> None:
-        """Fold one event at ``t_ns`` into the accumulator."""
+        """Add one event at ``t_ns`` to the window."""
         self._times.append(t_ns)
-        self._acc += self._contribution(t_ns)
-
-    def _fold(self, times_ns: list[int], *, subtract: bool = False) -> None:
-        """Fold (``subtract=False``) or retire a batch of events.
-
-        Bit-identical to folding them one at a time through
-        :meth:`add_event`:
-
-        - each ``t/SEC`` is a Python int/int true division, exactly as the
-          per-event path computes it;
-        - the per-element product ``(-1j·ω)·t`` commutes bitwise with the
-          per-event ``(-1j·ω·t)`` evaluation (IEEE multiplication);
-        - rows are accumulated *in event order* with in-place vector adds
-          — ``np.sum``'s pairwise summation would round differently.
-
-        The win is one ``np.exp`` over an ``(n, F)`` matrix instead of
-        ``n`` calls over length-``F`` vectors.
-        """
-        n = len(times_ns)
-        if n == 0:
-            return
-        freqs_size = self.freqs.size
-        self.operations += freqs_size * n
-        jomega = self._jomega
-        acc = self._acc
-        # chunk the batch so the (chunk x F) complex intermediate stays
-        # cache-resident — large chunks spill L2 and run *slower* than the
-        # per-event path despite the batched exp
-        chunk = max(1, 16_384 // max(freqs_size, 1))
-        for start in range(0, n, chunk):
-            t_sec = np.array(
-                [t / SEC for t in times_ns[start : start + chunk]], dtype=np.float64
-            )
-            contribs = np.exp(t_sec[:, None] * jomega[None, :])
-            if subtract:
-                for row in contribs:
-                    acc -= row
-            else:
-                for row in contribs:
-                    acc += row
+        self.operations += self.freqs.size
 
     def add_events(self, times_ns) -> None:
-        """Fold a batch of events (any iterable of int ns) in one sweep."""
+        """Add a batch of events (any iterable of int ns)."""
         batch = [int(t) for t in times_ns]
-        if not batch:
-            return
         self._times.extend(batch)
-        self._fold(batch)
+        self.operations += self.freqs.size * len(batch)
 
     def slide_to(self, now_ns: int) -> int:
         """Retire events older than ``now - horizon``; return the count.
@@ -185,31 +176,89 @@ class Spectrum:
         cutoff = now_ns - self.horizon_ns
         times = self._times
         retired = 0
-        for t in times:
-            if t < cutoff:
-                retired += 1
-            else:
-                break
-        if retired == 0:
-            return 0
-        popleft = times.popleft
-        batch = [popleft() for _ in range(retired)]
-        self._fold(batch, subtract=True)
+        while times and times[0] < cutoff:
+            times.popleft()
+            retired += 1
+        # retired events without a column yet simply never get one
+        self._start = min(self._start + retired, self._stop)
         return retired
 
     def reset(self) -> None:
-        """Drop all events and zero the accumulator."""
+        """Drop all events (the next read shrinks the buffers if the new window is small)."""
         self._times.clear()
-        self._acc[:] = 0
+        self._start = self._stop = 0
         # operations counter intentionally preserved (cumulative cost)
 
+    def _rows(self, flat: np.ndarray, first: int) -> np.ndarray:
+        """``flat`` as ``(F, stride)`` rows, from column ``first`` of row 0."""
+        n_rows, stride = self.freqs.size, self._stride
+        return flat[first : first + n_rows * stride].reshape(n_rows, stride)
+
+    def _move_rows(self, stride: int) -> None:
+        """Move the window's rows to the front of the buffers, at ``stride``.
+
+        Row ``r`` moves from ``start + r·old`` to ``r·stride``.  The rows
+        that move left go first, from the first row on, and then the rest
+        from the last row back, so no row is overwritten before it has
+        moved; the buffers resize in place, widening before and narrowing
+        after.
+        """
+        n_rows, old = self.freqs.size, self._stride
+        start, live = self._start, self._stop - self._start
+        # a window that drifted _SLIDE columns still fits (see _add_columns)
+        size = (n_rows + 1) * stride + self._SLIDE
+        # rows before ``split`` move left (or stay)
+        split = n_rows if stride <= old else min(n_rows, start // (stride - old) + 1)
+        step = self._ROW_BLOCK
+        blocks = [(r, min(r + step, split)) for r in range(0, split, step)]
+        blocks += reversed([(r, min(r + step, n_rows)) for r in range(split, n_rows, step)])
+        for flat in (self._cos, self._sin):
+            if size > flat.size:
+                flat.resize(size, refcheck=False)
+            for r0, r1 in blocks if live else ():
+                src = flat[start + r0 * old : start + r1 * old].reshape(r1 - r0, old)[:, :live]
+                flat[r0 * stride : r1 * stride].reshape(r1 - r0, stride)[:, :live] = src
+            if size < flat.size:
+                flat.resize(size, refcheck=False)
+        self._stride, self._start, self._stop = stride, 0, live
+
+    def _add_columns(self, times_ns: list[int]) -> None:
+        """Evaluate and store the columns of ``times_ns`` (the newest
+        window events, oldest first)."""
+        n = len(times_ns)
+        need = self._stop - self._start + n
+        fit = need + max(need // 10, 16)
+        if need > self._stride or 4 * fit < 3 * self._stride:
+            # grow, or shrink once the window has fallen well below the stride
+            self._move_rows(fit)
+        elif self._start > self._SLIDE:
+            # out of drift room: back to the front
+            self._move_rows(self._stride)
+        # now _start <= _SLIDE and need <= _stride, so every row, read from
+        # any _start up to the new _stop, lies inside the buffers
+        # ((F + 1) · stride + _SLIDE)
+        # the same arithmetic, on the same contiguous shapes, as
+        # sparse_amplitude_spectrum: that is what makes the sums bitwise equal
+        t_sec = np.asarray(np.array(times_ns, dtype=np.int64), dtype=np.float64) / SEC
+        phase = (2.0 * np.pi) * np.outer(self.freqs, t_sec)
+        self._rows(self._cos, self._stop)[:, :n] = np.cos(phase)
+        self._rows(self._sin, self._stop)[:, :n] = np.sin(phase)
+        self._stop += n
+
     def amplitude(self) -> np.ndarray:
-        """Current amplitude spectrum |S(f)| over the grid."""
-        if not self._times:
+        """Current amplitude spectrum |S(f)| over the grid.
+
+        Bitwise equal to ``sparse_amplitude_spectrum(times, freqs)``.
+        """
+        n = len(self._times)
+        if n == 0:
             return np.zeros(self.freqs.size)
-        # Recompute from the accumulator; subtraction error is negligible
-        # for the window sizes used here (<= a few thousand events).
-        return np.abs(self._acc)
+        pending = n - (self._stop - self._start)
+        if pending:
+            self._add_columns(list(islice(reversed(self._times), pending))[::-1])
+        re = self._rows(self._cos, self._start)[:, :n].sum(axis=1)
+        im = self._rows(self._sin, self._start)[:, :n].sum(axis=1)
+        return np.hypot(re, im)
 
     def normalized_amplitude(self) -> np.ndarray:
         """Amplitude spectrum scaled so its maximum is 1 (Figure 10)."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.peaks import PeakConfig, PeakDetector, expected_elements, local_maxima
 from repro.core.spectrum import SpectrumConfig, sparse_amplitude_spectrum
 from repro.sim.time import MS, SEC
+from tests.core.reference_detect import result_key, scalar_detect
 
 
 def train_spectrum(period_ns, n_events, cfg, jitter_ns=0, seed=0):
@@ -156,3 +157,66 @@ class TestRecoveryProperty:
         # the detected value divides the fundamental (10, 13.3, 20 or 40)
         ratio = 40.0 / result.frequency
         assert abs(ratio - round(ratio)) < 0.05
+
+
+@st.composite
+def grids(draw):
+    """Uniform grids from SpectrumConfig, down to one and two samples."""
+    n = draw(st.sampled_from([1, 2, 3, 4]) | st.integers(min_value=5, max_value=600))
+    df = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0, 3.5]))
+    f_min = draw(st.sampled_from([0.0, 0.5, 10.0]) | st.floats(min_value=0.0, max_value=60.0))
+    if n == 1:
+        cfg = SpectrumConfig(f_min=f_min, f_max=f_min + df / 4, df=df)
+    else:
+        cfg = SpectrumConfig(f_min=f_min, f_max=f_min + (n - 1) * df, df=df)
+    return cfg.frequencies()
+
+
+@st.composite
+def spectra(draw, freqs):
+    kind = draw(st.sampled_from(["zeros", "random", "ties", "edges", "train"]))
+    if kind == "zeros":
+        return np.zeros(freqs.size)
+    if kind == "train":
+        period_ms = draw(st.integers(min_value=5, max_value=200))
+        n = draw(st.integers(min_value=1, max_value=80))
+        return sparse_amplitude_spectrum(np.arange(n, dtype=np.int64) * period_ms * MS, freqs)
+    values = st.floats(min_value=0.0, max_value=50.0)
+    if kind == "ties":  # plateaus and exact ties between windows
+        values = st.integers(min_value=0, max_value=3).map(float)
+    amp = np.array(draw(st.lists(values, min_size=freqs.size, max_size=freqs.size)))
+    if kind == "edges" and freqs.size >= 3:  # maxima right next to both band edges
+        amp[1] = amp[-2] = amp.max() + 1.0
+    return amp
+
+
+class TestVectorisedMatchesScalar:
+    """The vectorised harmonic accumulation returns exactly the scalar
+    loop's result: candidates, harmonic sums (as ``float.hex``), Eq. 5
+    cost and amplitudes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        freqs=grids(),
+        data=st.data(),
+        alpha=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(min_value=0.0, max_value=2.0),
+        epsilon=st.sampled_from([0.0, 0.05, 0.5, 7.0]) | st.floats(min_value=0.0, max_value=20.0),
+        k_max=st.sampled_from([1, 10]) | st.integers(min_value=1, max_value=60),
+        alpha_ref=st.sampled_from(["mean", "max"]),
+    )
+    def test_detect_matches_scalar_reference(self, freqs, data, alpha, epsilon, k_max, alpha_ref):
+        amp = data.draw(spectra(freqs))
+        config = PeakConfig(alpha=alpha, epsilon=epsilon, k_max=k_max, alpha_ref=alpha_ref)
+        got = PeakDetector(config).detect(freqs, amp)
+        assert result_key(got) == result_key(scalar_detect(config, freqs, amp))
+
+    def test_windows_clipped_at_both_band_edges(self):
+        # candidates at the first and last eligible bins; ε wide enough that
+        # the first harmonic window of each runs past an edge of the grid
+        freqs = SpectrumConfig(f_min=10.0, f_max=40.0, df=0.5).frequencies()
+        amp = np.ones_like(freqs)
+        amp[1] = amp[-2] = 9.0
+        config = PeakConfig(alpha=1.5, epsilon=3.0, k_max=4)
+        got = PeakDetector(config).detect(freqs, amp)
+        assert got.candidates == [10.5, 39.5]
+        assert result_key(got) == result_key(scalar_detect(config, freqs, amp))

@@ -142,11 +142,19 @@ class TestRecoveryProperty:
         assert abs(peak_f - f0) <= 0.25
 
 
-class TestBatchedFoldIdentity:
-    """`add_events`/`slide_to` must be bit-identical to the per-event path.
+def one_shot(spec):
+    """The oracle: the one-shot spectrum of the window's times."""
+    return sparse_amplitude_spectrum(np.array(spec.times, dtype=np.int64), spec.freqs)
 
-    The batched fold is an optimisation, not an approximation: same
-    accumulator bits, same Eq. 3 operation count.
+
+class TestBatchedFoldIdentity:
+    """The window's spectrum is the one-shot spectrum, bit for bit.
+
+    Columns are evaluated lazily and retired by index, never subtracted:
+    however events arrive (one at a time or in batches) and leave
+    (``slide_to``, ``reset``), ``amplitude()`` is bitwise equal to
+    ``sparse_amplitude_spectrum`` of the window's times, and Eq. 3
+    charges F operations per added event (retirement costs none).
     """
 
     def _jittered_train(self, n=400, seed=3):
@@ -163,32 +171,26 @@ class TestBatchedFoldIdentity:
         batched.add_events(times)
         for t in times:
             single.add_event(t)
-        assert np.array_equal(batched._acc, single._acc)  # bitwise, not allclose
-        assert batched.operations == single.operations
+        assert np.array_equal(batched.amplitude(), single.amplitude())  # bitwise
+        assert np.array_equal(batched.amplitude(), one_shot(batched))
+        assert batched.operations == single.operations == len(times) * batched.freqs.size
         assert batched.times == single.times
 
     def test_slide_to_matches_per_event_retirement(self):
         times = self._jittered_train(n=600)
         horizon = 2 * SEC
-        batched = Spectrum(SpectrumConfig(), horizon_ns=horizon)
-        single = Spectrum(SpectrumConfig(), horizon_ns=horizon)
-        batched.add_events(times)
-        for t in times:
-            single.add_event(t)
+        spec = Spectrum(SpectrumConfig(), horizon_ns=horizon)
+        spec.add_events(times)
+        spec.amplitude()  # every event has its column before the slide
         now = times[-1]
-        retired = batched.slide_to(now)
-        assert retired > 0
-        # reference retirement: subtract one contribution at a time
-        cutoff = now - horizon
-        ref_retired = 0
-        while single._times and single._times[0] < cutoff:
-            t = single._times.popleft()
-            single._acc -= single._contribution(t)
-            ref_retired += 1
-        assert retired == ref_retired
-        assert np.array_equal(batched._acc, single._acc)
-        assert batched.operations == single.operations
-        assert batched.times == single.times
+        retired = spec.slide_to(now)
+        kept = [t for t in times if t >= now - horizon]
+        assert retired == len(times) - len(kept) > 0
+        assert spec.times == kept
+        assert np.array_equal(
+            spec.amplitude(), sparse_amplitude_spectrum(np.array(kept), spec.freqs)
+        )
+        assert spec.operations == len(times) * spec.freqs.size
 
     def test_interleaved_batches_match_streaming(self):
         times = self._jittered_train(n=500, seed=9)
@@ -199,10 +201,10 @@ class TestBatchedFoldIdentity:
             chunk = times[start : start + 100]
             batched.add_events(chunk)
             batched.slide_to(chunk[-1])
+            assert np.array_equal(batched.amplitude(), one_shot(batched))
             for t in chunk:
                 single.add_event(t)
             single.slide_to(chunk[-1])
-        assert np.array_equal(batched._acc, single._acc)
         assert batched.operations == single.operations
         assert np.array_equal(batched.amplitude(), single.amplitude())
 
@@ -210,11 +212,13 @@ class TestBatchedFoldIdentity:
         sp = Spectrum(SpectrumConfig())
         sp.add_events([])
         assert sp.operations == 0 and len(sp) == 0
+        assert np.array_equal(sp.amplitude(), np.zeros(sp.freqs.size))
         sp.add_events([1_000_000])
         ref = Spectrum(SpectrumConfig())
         ref.add_event(1_000_000)
-        assert np.array_equal(sp._acc, ref._acc)
-        assert sp.operations == ref.operations
+        assert np.array_equal(sp.amplitude(), ref.amplitude())
+        assert np.array_equal(sp.amplitude(), one_shot(sp))
+        assert sp.operations == ref.operations == sp.freqs.size
 
     def test_accepts_numpy_times(self):
         arr = np.array([10 * MS, 20 * MS, 30 * MS], dtype=np.int64)
@@ -222,3 +226,87 @@ class TestBatchedFoldIdentity:
         sp.add_events(arr)
         assert sp.times == [10 * MS, 20 * MS, 30 * MS]
         assert all(isinstance(t, int) for t in sp.times)
+
+    def test_column_buffers_grow_drift_move_back_and_shrink(self):
+        """The window grows (its rows widen from the last row back), holds
+        steady (it drifts through the buffers and, past its drift room,
+        moves back to the front), grows again after drifting (the first
+        rows move left and the rest right), then thins out (the rows
+        narrow); 151 rows move in three blocks each time, and every read
+        is the one-shot spectrum."""
+        moves = []
+
+        class Recording(Spectrum):
+            _SLIDE = 200  # the default drift room would outlast this test
+
+            def _move_rows(self, stride):
+                moves.append((self._stride, stride, self._start))
+                super()._move_rows(stride)
+
+        spec = Recording(self.GRIDS[3], horizon_ns=100 * MS)
+        clock = 0
+        for batch, spacing in [(5, 1)] + [(30, 1)] * 14 + [(30, 0.5)] * 4 + [(10, 3)] * 12:
+            times = [clock + int((k + 1) * spacing * MS) for k in range(batch)]
+            clock = times[-1]
+            spec.add_events(times)
+            spec.slide_to(clock)
+            assert np.array_equal(spec.amplitude(), one_shot(spec))
+        assert len(spec) == 34
+        assert any(new > old > 0 and start == 0 for old, new, start in moves)  # widen
+        assert any(new == old and start > Recording._SLIDE for old, new, start in moves)
+        # widen after drifting: row 0 moves left, the last row right
+        assert any(0 < old < new and 0 < (new - old) * 150 - start for old, new, start in moves
+                   if start > new - old)
+        assert any(0 < new < old for old, new, start in moves)  # narrow
+
+    # grids of 1, 2, 17 and 151 samples: 151 rows move in three blocks
+    GRIDS = [
+        SpectrumConfig(f_min=5.0, f_max=6.0, df=4.0),
+        SpectrumConfig(f_min=5.0, f_max=6.0, df=1.0),
+        SpectrumConfig(f_min=20.0, f_max=100.0, df=5.0),
+        SpectrumConfig(f_min=25.0, f_max=100.0, df=0.5),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.sampled_from(GRIDS),
+        horizon=st.sampled_from([None, 30 * MS, 200 * MS]),
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("add_event"), st.integers(0, 5 * MS)),
+                st.tuples(st.just("add_events"), st.lists(st.integers(0, 5 * MS), max_size=40)),
+                st.tuples(st.just("slide_to"), st.integers(0, 50 * MS)),
+                st.tuples(st.just("reset"), st.just(0)),
+                st.tuples(st.just("amplitude"), st.just(0)),
+            ),
+            max_size=40,
+        ),
+        origin=st.integers(0, 2**62),
+        slide=st.sampled_from([Spectrum._SLIDE, 0, 7]),
+    )
+    def test_any_interleaving_matches_one_shot(self, grid, horizon, steps, origin, slide):
+        """Property: whenever it is read, after any add/slide/reset
+        sequence, the amplitude is the one-shot spectrum of ``spec.times``;
+        the Eq. 3 counter is always F per event ever added.  Small drift
+        rooms make the rows move back to the front often."""
+        spec = type("Drifting", (Spectrum,), {"_SLIDE": slide})(grid, horizon_ns=horizon)
+        clock = origin
+        added = 0
+        for op, arg in steps:
+            if op == "add_event":
+                clock += arg
+                spec.add_event(clock)
+                added += 1
+            elif op == "add_events":
+                batch = clock + np.cumsum(np.array(arg, dtype=np.int64))
+                clock = int(batch[-1]) if arg else clock
+                spec.add_events(batch)
+                added += len(arg)
+            elif op == "slide_to":
+                spec.slide_to(clock - arg)
+            elif op == "reset":
+                spec.reset()
+            else:  # between two looks, events may come and go column-less
+                assert np.array_equal(spec.amplitude(), one_shot(spec))
+            assert spec.operations == grid.n_samples * added
+        assert np.array_equal(spec.amplitude(), one_shot(spec))
