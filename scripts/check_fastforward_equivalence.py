@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate: fast-forward runs must be bit-identical to full stepping.
 
-Three assertions, one per row of the fast-forward contract
+Four assertions, one per row of the fast-forward contract
 (``docs/fast-forward.md``):
 
 1. **Eligible scenarios skip and match.**  Every purely periodic
@@ -15,6 +15,10 @@ Three assertions, one per row of the fast-forward contract
 3. **Fault plans force the slow path.**  A kernel carrying a fault
    plan, even a zero-intensity one, must auto-disable fast-forward and
    run bit-identically to a plain run.
+4. **Observer hooks force the slow path.**  A kernel latency hook or a
+   CBS server exhaustion hook would miss every call of a skipped span,
+   so either must disable fast-forward and see exactly the call
+   sequence of a plain run.
 
 Usage: ``PYTHONPATH=src python scripts/check_fastforward_equivalence.py``
 from the repo root; exits non-zero with one line per violation.
@@ -103,6 +107,50 @@ def check_fault_plan_disable(problems: list[str]) -> None:
     )
 
 
+def _latency_hook(kernel, calls: list) -> None:
+    kernel.latency_hook = lambda proc, latency, now: calls.append((proc.pid, latency, now))
+
+
+def _exhaustion_hooks(kernel, calls: list) -> None:
+    servers = kernel.scheduler.servers
+    for sid in sorted(servers):
+        servers[sid].exhaustion_hook = lambda server, now: calls.append((server.sid, now))
+
+
+#: (scenario, hook, attach) — each scenario fires its hook every few jobs
+HOOKS = (
+    ("periodic-cbs-hard", "latency hook", _latency_hook),
+    ("periodic-cbs-background", "exhaustion hook", _exhaustion_hooks),
+)
+
+
+def check_hook_disable(problems: list[str]) -> None:
+    for name, hook, attach in HOOKS:
+        calls_full: list = []
+        k_full = build_scenario(name)
+        attach(k_full, calls_full)
+        k_full.run(PERIODIC_HORIZON_NS)
+
+        calls_ff: list = []
+        k_ff = build_scenario(name)
+        attach(k_ff, calls_ff)
+        report = run_fast_forward(k_ff, PERIODIC_HORIZON_NS)
+        if not calls_full:
+            problems.append(f"{name}: the {hook} never fired, so this row checks nothing")
+        if report.enabled:
+            problems.append(f"{name}: an attached {hook} did not disable fast-forward")
+        if calls_ff != calls_full:
+            problems.append(
+                f"{name}: the {hook} saw {len(calls_ff)} calls fast-forwarded "
+                f"against {len(calls_full)} stepped"
+            )
+        ok = bool(calls_full) and calls_ff == calls_full and not report.enabled
+        print(
+            f"  {name:28s} {'OK' if ok else 'MISMATCH'}: {hook} saw "
+            f"{len(calls_ff)} calls, disabled ({report.reason})"
+        )
+
+
 def main() -> int:
     problems: list[str] = []
     print("periodic scenarios (fast path must detect, skip and match):")
@@ -111,6 +159,8 @@ def main() -> int:
     check_golden(problems)
     print("fault-plan transparency (zero intensity must force the slow path):")
     check_fault_plan_disable(problems)
+    print("observer hooks (an attached hook must force the slow path):")
+    check_hook_disable(problems)
     if problems:
         print(f"\n{len(problems)} violation(s):", file=sys.stderr)
         for problem in problems:

@@ -37,8 +37,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.sim.time import SEC
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.sim.kernel import Kernel
 
 
 @dataclass
@@ -254,6 +258,17 @@ def bench_sim_obs(duration_s: float = 2.0, repeats: int = 4) -> MicroResult:
     )
 
 
+def _ff_outputs(kernel: Kernel) -> tuple[object, ...]:
+    """What a fast-forwarded run must reproduce: switch count, each
+    process's latency moments (floats by ``float.hex``) and the
+    scheduler's cycle counters."""
+    moments = tuple(
+        (lat.n, lat.total, lat.max, lat._mean.hex(), lat._m2.hex())
+        for lat in (kernel.processes[pid].sched_latency for pid in sorted(kernel.processes))
+    )
+    return kernel.stats.context_switches, moments, kernel.scheduler.cycle_counters()
+
+
 def bench_fastforward(duration_s: float = 60.0) -> MicroResult:
     """Fast-forward speedup on a long purely-periodic horizon.
 
@@ -278,7 +293,7 @@ def bench_fastforward(duration_s: float = 60.0) -> MicroResult:
     kernel_ff = build_scenario(scenario)
     report = run_fast_forward(kernel_ff, duration_ns)
     ff_elapsed = time.perf_counter() - t0
-    if kernel_ff.stats.context_switches != kernel_full.stats.context_switches:
+    if _ff_outputs(kernel_ff) != _ff_outputs(kernel_full):
         raise AssertionError("fast-forward diverged from the full run")
     return MicroResult(
         name="fastforward",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -43,10 +44,9 @@ class _SampleStats(LatencyStats):
     """LatencyStats that also bins samples and tallies deadline misses.
 
     Installed on every process before the run, so the histogram and miss
-    tally accumulate inline without a raw sample log.  When fast-forward
-    replaces it with a :class:`repro.sim.cycles._RecordingLatency`, the
-    recorder's raw log is binned after the run instead — both paths see
-    the identical sample stream, so they produce identical tallies.
+    tally accumulate inline without a raw sample log, stepped or
+    fast-forwarded alike (skipped cycles arrive through
+    :meth:`add_cycles`).
     """
 
     __slots__ = ("hist", "misses", "threshold")
@@ -62,6 +62,16 @@ class _SampleStats(LatencyStats):
         self.hist[_bin_index(latency)] += 1
         if latency > self.threshold:
             self.misses += 1
+
+    def add_cycles(self, samples: Sequence[int], times: int) -> None:
+        super().add_cycles(samples, times)
+        if times <= 0:
+            return
+        hist, threshold = self.hist, self.threshold
+        for latency in samples:
+            hist[_bin_index(latency)] += times
+            if latency > threshold:
+                self.misses += times
 
 
 def _merge_moments(
@@ -138,10 +148,9 @@ class SimSummary:
 def summarise_kernel(kernel: Kernel, spec: ScenarioSpec, ff_report: Any | None) -> SimSummary:
     """Collapse a finished kernel into its :class:`SimSummary`.
 
-    Latency histograms and miss tallies come from the raw sample log when
-    fast-forward installed a recorder, and from the pre-installed
-    :class:`_SampleStats` otherwise; per-process Welford moments merge in
-    sorted-pid order so the floats are reproducible.
+    Latency histograms and miss tallies come from each process's
+    pre-installed :class:`_SampleStats`; per-process Welford moments merge
+    in sorted-pid order so the floats are reproducible.
     """
     n = 0
     mean = 0.0
@@ -152,25 +161,16 @@ def summarise_kernel(kernel: Kernel, spec: ScenarioSpec, ff_report: Any | None) 
     misses = 0
     crashes = 0
     cpu_ns = 0
-    threshold = spec.miss_threshold_ns
     for pid in sorted(kernel.processes):
         proc = kernel.processes[pid]
         stats = proc.sched_latency
         n, mean, m2 = _merge_moments(n, mean, m2, stats.n, stats._mean, stats._m2)
         lat_total += stats.total
         lat_max = max(lat_max, stats.max)
-        log = getattr(stats, "log", None)
-        if log is not None:
-            for sample in log:
-                hist[_bin_index(sample)] += 1
-                if sample > threshold:
-                    misses += 1
-        else:
-            hist_part = getattr(stats, "hist", None)
-            if hist_part is not None:
-                for b, count in enumerate(hist_part):
-                    hist[b] += count
-                misses += stats.misses
+        if isinstance(stats, _SampleStats):
+            for b, count in enumerate(stats.hist):
+                hist[b] += count
+            misses += stats.misses
         if proc.crashed:
             crashes += 1
         cpu_ns += proc.cpu_time

@@ -16,16 +16,19 @@ This module exploits that theorem without giving up bit-identity:
    per-process program positions and block states, scheduler state with
    absolute times normalised against ``now``, and workload RNG/phase state;
 3. when a digest repeats, the simulation stops stepping and *extrapolates*:
-   the recorded cycle's switch trace and latency samples are replayed ``K``
-   more times with time offsets, monotone counters advance by ``K`` times
-   their per-cycle delta, and every absolute-time field (clock, calendar,
-   deadlines, pending sleeps) shifts by ``K * cycle_len``;
+   the recorded cycle's switch trace is replayed ``K`` more times with
+   time offsets, its latency samples go to each process's accumulator
+   as one ``add_cycles(samples, K)`` call, monotone counters advance by
+   ``K`` times their per-cycle delta, and every absolute-time field
+   (clock, calendar, deadlines, pending sleeps) shifts by
+   ``K * cycle_len``;
 4. the residual partial cycle runs normally.
 
 Eligibility is deliberately strict — anything the digest cannot prove
-equivalent (tracers, telemetry, label probes, fault plans, aperiodic
-processes, unsupported schedulers, foreign calendar callbacks) disables the
-fast path and the run completes normally, bit-identical to a plain run.
+equivalent (tracers, telemetry, label probes, latency or exhaustion hooks,
+fault plans, aperiodic processes, unsupported schedulers, foreign calendar
+callbacks) disables the fast path and the run completes normally,
+bit-identical to a plain run.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from repro.sim.instructions import SleepFor, SleepUntil, WaitEvent
 from repro.sim.kernel import Kernel
-from repro.sim.process import LatencyStats, Process, Program, Segment
+from repro.sim.process import Process, Program, Segment
 from repro.sim.time import hyperperiod
 
 #: a cycle can only be detected *and* pay off if at least this many
@@ -227,6 +230,9 @@ def eligibility_reason(kernel: Kernel) -> str | None:
         return "telemetry hub attached"
     if kernel.fault_plan is not None:
         return "fault plan attached"
+    reason = _observer_reason(kernel)
+    if reason is not None:
+        return reason
     if kernel.scheduler.cycle_state(kernel.clock) is None:
         return f"scheduler {type(kernel.scheduler).__name__} has no cycle_state()"
     for pid in sorted(kernel.processes):
@@ -238,6 +244,22 @@ def eligibility_reason(kernel: Kernel) -> str | None:
             return f"process {proc.name!r} has no cycle adapter"
         if info.period is None:
             return f"process {proc.name!r} is aperiodic"
+    return None
+
+
+def _observer_reason(kernel: Kernel, own_latency_hook: object = None) -> str | None:
+    """Name an attached hook that skipping cycles would starve, if any.
+
+    Skipped cycles replay ``switch_hook`` calls only, so a latency or
+    exhaustion hook would miss every call of the skipped span.
+    ``own_latency_hook`` is the sample logger of :func:`run_fast_forward`.
+    """
+    if kernel.latency_hook is not own_latency_hook:
+        return "latency hook attached"
+    servers = getattr(kernel.scheduler, "servers", {})
+    for sid in sorted(servers):
+        if servers[sid].exhaustion_hook is not None:
+            return f"exhaustion hook attached to server {servers[sid].name!r}"
     return None
 
 
@@ -258,45 +280,14 @@ def kernel_hyperperiod(kernel: Kernel) -> int:
 # ----------------------------------------------------------------------
 # extrapolation machinery
 # ----------------------------------------------------------------------
-class _RecordingLatency(LatencyStats):
-    """LatencyStats that also logs raw samples.
-
-    The Welford accumulator is float-valued and cannot be scaled by
-    ``K`` cycles exactly; replaying the recorded samples through the same
-    ``add`` sequence reproduces the full run's floats bit-for-bit.
-    """
-
-    __slots__ = ("log",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.log: list[int] = []
-
-    def add(self, latency: int) -> None:
-        self.log.append(latency)
-        super().add(latency)
-
-
-def _install_recorder(proc: Process) -> _RecordingLatency:
-    old = proc.sched_latency
-    recorder = _RecordingLatency()
-    recorder.n = old.n
-    recorder.total = old.total
-    recorder.max = old.max
-    recorder._mean = old._mean
-    recorder._m2 = old._m2
-    proc.sched_latency = recorder
-    return recorder
-
-
 @dataclass
 class _BoundarySnapshot:
     """Monotone-counter values at one hyperperiod boundary."""
 
     switch_len: int
+    latency_len: int
     stats: tuple[int, int, int, int, int]
     proc_counters: dict[int, tuple[int, int]]
-    latency_len: dict[int, int]
     adapter_index: dict[int, int]
     sched_counters: dict[str, int]
 
@@ -304,23 +295,20 @@ class _BoundarySnapshot:
 def _take_snapshot(
     kernel: Kernel,
     switch_log: list[tuple[Process, int]],
-    recorders: dict[int, _RecordingLatency],
+    latency_log: list[tuple[Process, int]],
 ) -> _BoundarySnapshot:
     proc_counters: dict[int, tuple[int, int]] = {}
-    latency_len: dict[int, int] = {}
     adapter_index: dict[int, int] = {}
     for pid in sorted(kernel.processes):
         proc = kernel.processes[pid]
         proc_counters[pid] = (proc.cpu_time, proc.syscall_count)
-        recorder = recorders.get(pid)
-        if recorder is not None:
-            latency_len[pid] = len(recorder.log)
         info = cycle_adapter_of(proc.program)
         if info is not None and info.get_index is not None:
             adapter_index[pid] = info.get_index()
     stats = kernel.stats
     return _BoundarySnapshot(
         switch_len=len(switch_log),
+        latency_len=len(latency_log),
         stats=(
             stats.context_switches,
             stats.idle_time,
@@ -329,7 +317,6 @@ def _take_snapshot(
             stats.dispatched_events,
         ),
         proc_counters=proc_counters,
-        latency_len=latency_len,
         adapter_index=adapter_index,
         sched_counters=kernel.scheduler.cycle_counters(),
     )
@@ -340,7 +327,7 @@ def _skip_cycles(
     snap: _BoundarySnapshot,
     switch_log: list[tuple[Process, int]],
     switch_hook: Callable[[Process, int], None] | None,
-    recorders: dict[int, _RecordingLatency],
+    latency_log: list[tuple[Process, int]],
     cycle_len: int,
     cycles: int,
 ) -> None:
@@ -348,8 +335,9 @@ def _skip_cycles(
 
     The kernel sits at the end of a detected cycle whose start was
     snapshotted in ``snap``; every observable output of the skipped span
-    is replayed (switch trace, latency samples) or scaled (monotone
-    counters), and every absolute-time field is shifted.
+    is replayed (switch trace), folded in ``cycles`` times over (each
+    process's latency samples, through ``add_cycles``) or scaled
+    (monotone counters), and every absolute-time field is shifted.
     """
     delta = cycles * cycle_len
     # replay the cycle's switch trace K more times with time offsets
@@ -367,18 +355,18 @@ def _skip_cycles(
     stats.syscalls += cycles * (stats.syscalls - snap.stats[3])
     stats.dispatched_events += cycles * (stats.dispatched_events - snap.stats[4])
     # per-process counters, latency samples and release-grid positions
+    cycle_latency: dict[int, list[int]] = {}
+    for proc, latency in latency_log[snap.latency_len :]:
+        cycle_latency.setdefault(proc.pid, []).append(latency)
     for pid in sorted(kernel.processes):
         proc = kernel.processes[pid]
         counters = snap.proc_counters.get(pid)
         if counters is not None:
             proc.cpu_time += cycles * (proc.cpu_time - counters[0])
             proc.syscall_count += cycles * (proc.syscall_count - counters[1])
-        recorder = recorders.get(pid)
-        if recorder is not None:
-            cycle_samples = list(recorder.log[snap.latency_len.get(pid, 0) :])
-            for _ in range(cycles):
-                for sample in cycle_samples:
-                    recorder.add(sample)
+        samples = cycle_latency.get(pid)
+        if samples is not None:
+            proc.sched_latency.add_cycles(samples, cycles)
         info = cycle_adapter_of(proc.program)
         if info is not None and info.get_index is not None and pid in snap.adapter_index:
             jobs = info.get_index() - snap.adapter_index[pid]
@@ -472,6 +460,7 @@ def run_fast_forward(kernel: Kernel, until: int) -> FastForwardReport:
         )
     report = FastForwardReport(enabled=True, hyperperiod=cycle_h)
     switch_log: list[tuple[Process, int]] = []
+    latency_log: list[tuple[Process, int]] = []
     original_hook = kernel.switch_hook
 
     def _record_switch(proc: Process, now: int) -> None:
@@ -479,13 +468,14 @@ def run_fast_forward(kernel: Kernel, until: int) -> FastForwardReport:
         if original_hook is not None:
             original_hook(proc, now)
 
-    recorders: dict[int, _RecordingLatency] = {}
-    for pid in sorted(kernel.processes):
-        recorders[pid] = _install_recorder(kernel.processes[pid])
+    def _record_latency(proc: Process, latency: int, now: int) -> None:
+        latency_log.append((proc, latency))
+
     seen: dict[str, int] = {}
     snapshots: dict[int, _BoundarySnapshot] = {}
     boundary = (kernel.clock // cycle_h + 1) * cycle_h
     kernel.switch_hook = _record_switch
+    kernel.latency_hook = _record_latency
     try:
         while boundary < until:
             kernel.run(boundary, stop_before_switch=True)
@@ -494,6 +484,12 @@ def run_fast_forward(kernel: Kernel, until: int) -> FastForwardReport:
                 # would perturb the run, so extend to the next one
                 boundary += cycle_h
                 continue
+            # a hook attached since the start must stop the fast path too
+            hooked = _observer_reason(kernel, _record_latency)
+            if hooked is not None:
+                report.enabled = False
+                report.reason = hooked
+                break
             try:
                 digest = state_digest(kernel, boundary)
             except CycleIneligible as exc:
@@ -515,7 +511,7 @@ def run_fast_forward(kernel: Kernel, until: int) -> FastForwardReport:
                         snapshots[previous],
                         switch_log,
                         original_hook,
-                        recorders,
+                        latency_log,
                         cycle_len,
                         cycles,
                     )
@@ -523,9 +519,14 @@ def run_fast_forward(kernel: Kernel, until: int) -> FastForwardReport:
                     report.skipped_ns = cycles * cycle_len
                 break
             seen[digest] = boundary
-            snapshots[boundary] = _take_snapshot(kernel, switch_log, recorders)
+            snapshots[boundary] = _take_snapshot(kernel, switch_log, latency_log)
             boundary += cycle_h
     finally:
+        # hand both hook slots back before the residual span, however the
+        # loop ended; the latency slot was empty unless a hook attached
+        # since then has taken it over
         kernel.switch_hook = original_hook
+        if kernel.latency_hook is _record_latency:
+            kernel.latency_hook = None
     kernel.run(until)
     return report

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 
 from repro.sim.instructions import BlockSpec, Instruction, Syscall
 
@@ -86,6 +86,30 @@ class LatencyStats:
         delta = latency - self._mean
         self._mean += delta / self.n
         self._m2 += delta * (latency - self._mean)
+
+    def add_cycles(self, samples: Sequence[int], times: int) -> None:
+        """Record ``samples`` ``times`` over, bit-for-bit as that many
+        rounds of :meth:`add` (fast-forward's replay of skipped cycles).
+
+        ``total`` and ``max`` are closed-form.  The Welford floats round
+        differently at every step, so they and ``n`` advance in one loop
+        over locals, on samples converted to float once up front (the
+        conversion ``latency - mean`` would make at every step).
+        Subclasses that extend :meth:`add` extend this too.
+        """
+        if not samples or times <= 0:
+            return
+        self.total += times * sum(samples)
+        self.max = max(self.max, max(samples))
+        values = [float(latency) for latency in samples]
+        n, mean, m2 = self.n, self._mean, self._m2
+        for _ in range(times):
+            for latency in values:
+                n += 1
+                delta = latency - mean
+                mean += delta / n
+                m2 += delta * (latency - mean)
+        self.n, self._mean, self._m2 = n, mean, m2
 
     @property
     def mean(self) -> float:

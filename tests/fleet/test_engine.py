@@ -65,8 +65,8 @@ name = "video"
 """
 
 
-def _specs():
-    return expand_template(parse_template(TEMPLATE))
+def _specs(template=TEMPLATE):
+    return expand_template(parse_template(template))
 
 
 def test_jobs_1_vs_4_byte_identical():
@@ -86,18 +86,77 @@ def test_chunksize_does_not_change_the_result():
     )
 
 
+#: every sim here replays cycles whose latency samples take two values and
+#: cross the 3 us miss threshold, so ff == full also checks the binning and
+#: miss tally of skipped cycles (TEMPLATE's cycles are all one 2 us value)
+MISSES = """
+[template]
+name = "ff-misses"
+nodes = 2
+seed = 90
+
+[scenario]
+horizon_ms = 2000.0
+miss_threshold_ms = 0.003
+
+[scheduler]
+kind = "rr"
+
+[[workload]]
+kind = "periodic"
+name = "p8"
+count = 2
+period_ms = 8.0
+cost_ms = 2.0
+
+[[workload]]
+kind = "periodic"
+name = "p16"
+period_ms = 16.0
+cost_ms = 5.0
+
+[grid]
+"scheduler.kind" = ["rr", "fp", "edf"]
+"""
+
+
+def _without_ff_fields(doc):
+    for key in ("ff_detected", "cycles_skipped", "skipped_ns"):
+        doc.pop(key)
+        for group in doc.get("groups", {}).values():
+            group.pop(key)
+    return doc
+
+
 def test_fast_forward_equals_full_stepping():
     ff = run_fleet(_specs(), fast_forward=True)
     full = run_fleet(_specs(), fast_forward=False)
     assert ff.ff_detected == ff.sims  # purely periodic: every sim skips
     assert full.ff_detected == 0
-    ff_doc, full_doc = ff.to_jsonable(), full.to_jsonable()
-    for doc in (ff_doc, full_doc):
-        for key in ("ff_detected", "cycles_skipped", "skipped_ns"):
-            doc.pop(key)
-            for group in doc.get("groups", {}).values():
-                group.pop(key)
-    assert ff_doc == full_doc
+    assert _without_ff_fields(ff.to_jsonable()) == _without_ff_fields(full.to_jsonable())
+
+
+def test_fast_forward_equals_full_stepping_with_misses(monkeypatch):
+    from repro.fleet.summary import _SampleStats
+
+    replayed: list[tuple[int, int]] = []
+    add_cycles = _SampleStats.add_cycles
+
+    def spy(self, samples, times):
+        values = set(samples)
+        replayed.append((len(values), sum(v > self.threshold for v in values)))
+        add_cycles(self, samples, times)
+
+    monkeypatch.setattr(_SampleStats, "add_cycles", spy)
+    ff = run_fleet(_specs(MISSES), fast_forward=True)
+    monkeypatch.undo()
+    full = run_fleet(_specs(MISSES), fast_forward=False)
+    # the preconditions that keep this test from passing trivially
+    assert ff.sims == ff.ff_detected == 6
+    assert max(distinct for distinct, _ in replayed) == 2
+    assert any(missing for _, missing in replayed)
+    assert 0 < full.misses < full.samples
+    assert _without_ff_fields(ff.to_jsonable()) == _without_ff_fields(full.to_jsonable())
 
 
 def test_stream_jsonl_shape(tmp_path):

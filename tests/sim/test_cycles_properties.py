@@ -5,15 +5,19 @@ periods under each scheduler family and asserts the one property the
 whole of :mod:`repro.sim.cycles` rests on: fast-forwarding is observably
 identical to full stepping — for every task set, whether or not a cycle
 was detected.  A second property pins the negative space: aperiodic
-desktop interference must always disable the fast path.
+desktop interference must always disable the fast path.  A third pins
+the replay primitive underneath: ``add_cycles(samples, K)`` on a latency
+accumulator is bit-for-bit ``K`` rounds of ``add()``.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.golden import attach_digest
+from repro.fleet.summary import _SampleStats
 from repro.sched import (
     EdfScheduler,
     FixedPriorityScheduler,
@@ -22,6 +26,7 @@ from repro.sched import (
 )
 from repro.sim import Kernel, MS, SEC
 from repro.sim.cycles import run_fast_forward
+from repro.sim.process import LatencyStats
 from repro.workloads import PeriodicTaskConfig, periodic_task
 
 #: commensurate period menu: any subset folds to a 32 ms hyperperiod
@@ -129,3 +134,50 @@ class TestDesktopInterference:
         assert not report.detected
         assert report.reason is not None and "aperiodic" in report.reason
         assert fin_ff() == fin_full()
+
+
+#: wake-up latencies: realistic ns values, and ones large enough that the
+#: Welford floats (and their squares) lose integer precision
+latencies = st.one_of(st.integers(0, 50_000), st.integers(0, 1 << 62))
+#: one skipped cycle's samples, including empty and one-value cycles
+cycle_samples = st.one_of(
+    st.lists(latencies, max_size=6),
+    st.builds(lambda value, k: [value] * k, latencies, st.integers(1, 4)),
+)
+
+
+def _accumulator_state(stats: LatencyStats) -> tuple[object, ...]:
+    state: tuple[object, ...] = (
+        stats.n,
+        stats.total,
+        stats.max,
+        stats._mean.hex(),
+        stats._m2.hex(),
+    )
+    if isinstance(stats, _SampleStats):
+        state += (tuple(stats.hist), stats.misses)
+    return state
+
+
+class TestAddCyclesEqualsRepeatedAdds:
+    @pytest.mark.parametrize("cls", [LatencyStats, _SampleStats])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prior=st.lists(latencies, max_size=8),
+        samples=cycle_samples,
+        times=st.integers(0, 40),
+        threshold=latencies,
+    )
+    def test_bit_for_bit(self, cls, prior, samples, times, threshold):
+        def fresh() -> LatencyStats:
+            stats = cls() if cls is LatencyStats else cls(threshold)
+            for latency in prior:
+                stats.add(latency)
+            return stats
+
+        stepped, replayed = fresh(), fresh()
+        for _ in range(times):
+            for latency in samples:
+                stepped.add(latency)
+        replayed.add_cycles(samples, times)
+        assert _accumulator_state(replayed) == _accumulator_state(stepped)

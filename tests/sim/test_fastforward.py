@@ -151,6 +151,16 @@ class TestGoldenTransparency:
         assert ff == full
 
 
+def _attach_latency_hook(kernel: Kernel, calls: list) -> None:
+    kernel.latency_hook = lambda proc, latency, now: calls.append((proc.pid, latency, now))
+
+
+def _attach_exhaustion_hooks(kernel: Kernel, calls: list) -> None:
+    servers = kernel.scheduler.servers
+    for sid in sorted(servers):
+        servers[sid].exhaustion_hook = lambda server, now: calls.append((server.sid, now))
+
+
 class TestIneligibility:
     def _periodic_kernel(self) -> Kernel:
         return build_scenario("periodic-fp")
@@ -196,6 +206,66 @@ class TestIneligibility:
         reason = eligibility_reason(kernel)
         assert reason is not None and "aperiodic" in reason
 
+    @pytest.mark.parametrize(
+        "scenario, attach, reason",
+        [
+            ("periodic-cbs-hard", _attach_latency_hook, "latency hook attached"),
+            ("periodic-cbs-background", _attach_exhaustion_hooks, "exhaustion hook attached"),
+        ],
+        ids=["latency", "exhaustion"],
+    )
+    def test_observer_hook_forces_full_stepping(self, scenario, attach, reason):
+        # skipped cycles replay switch_hook calls only; any other observer
+        # would miss every call in them
+        until = 1 * SEC
+
+        def run(fast_forward: bool):
+            kernel = build_scenario(scenario)
+            calls: list[tuple[int, ...]] = []
+            attach(kernel, calls)
+            report = run_fast_forward(kernel, until) if fast_forward else kernel.run(until)
+            return calls, report
+
+        full, _ = run(fast_forward=False)
+        ff, report = run(fast_forward=True)
+        assert not report.enabled
+        assert report.reason is not None and report.reason.startswith(reason)
+        assert len(full) > 10
+        assert ff == full
+
+    def test_hook_attached_mid_run_stops_the_fast_path(self):
+        from repro.core.events import MissDispatcher, miss_dispatcher
+
+        until = 1 * SEC
+
+        def run(fast_forward: bool):
+            kernel = build_scenario("periodic-cbs-hard")
+            first_boundary = kernel_hyperperiod(kernel)
+            calls: list[tuple[int, int, int]] = []
+            subscribed: list[int] = []
+
+            def subscribe_late(proc, now):
+                # as an event-driven loop adopting a task after the first boundary
+                if now > first_boundary and not subscribed:
+                    subscribed.append(now)
+                    miss_dispatcher(kernel).subscribe(
+                        frozenset(kernel.processes),
+                        -1,
+                        lambda proc, latency, now: calls.append((proc.pid, latency, now)),
+                    )
+
+            kernel.switch_hook = subscribe_late
+            report = run_fast_forward(kernel, until) if fast_forward else kernel.run(until)
+            assert isinstance(kernel.latency_hook, MissDispatcher)
+            return calls, report
+
+        full, _ = run(fast_forward=False)
+        ff, report = run(fast_forward=True)
+        assert not report.enabled and not report.detected
+        assert report.reason == "latency hook attached"
+        assert len(full) > 100
+        assert ff == full
+
     def test_short_horizon_falls_back(self):
         kernel = self._periodic_kernel()
         cycle_h = kernel_hyperperiod(kernel)
@@ -204,6 +274,79 @@ class TestIneligibility:
         assert not report.enabled
         assert report.reason is not None and "horizon too short" in report.reason
         assert kernel.clock == until
+
+
+class TestAccumulatorsHandedBack:
+    """Every exit path leaves each process its own latency accumulator and
+    the kernel without fast-forward's latency logger, so nothing keeps
+    logging samples once the fast path has stopped."""
+
+    UNTIL = 1 * SEC
+
+    def _run(self, kernel: Kernel):
+        own = {pid: proc.sched_latency for pid, proc in kernel.processes.items()}
+        report = run_fast_forward(kernel, self.UNTIL)
+        assert kernel.clock == self.UNTIL
+        assert kernel.latency_hook is None
+        for pid, stats in own.items():
+            assert kernel.processes[pid].sched_latency is stats
+        return report
+
+    @staticmethod
+    def _moments(kernel: Kernel):
+        return [
+            (lat.n, lat.total, lat.max, lat._mean.hex(), lat._m2.hex())
+            for lat in (kernel.processes[pid].sched_latency for pid in sorted(kernel.processes))
+        ]
+
+    def test_cycle_detected(self):
+        kernel = build_scenario("periodic-fp")
+        report = self._run(kernel)
+        assert report.detected and report.cycles_skipped > 0
+
+    def test_stopped_by_a_foreign_callback(self):
+        def build() -> Kernel:
+            kernel = build_scenario("periodic-fp")
+            first_boundary = kernel_hyperperiod(kernel)
+            pushed: list[int] = []
+
+            def push_foreign(proc, now):
+                # posted after the first boundary's digest was taken
+                if now > first_boundary and not pushed:
+                    pushed.append(now)
+                    kernel.events.push(self.UNTIL, lambda now, payload: None)
+
+            kernel.switch_hook = push_foreign
+            return kernel
+
+        k_full = build()
+        k_full.run(self.UNTIL)
+        k_ff = build()
+        report = self._run(k_ff)
+        assert report.boundaries_sampled >= 1
+        assert not report.enabled and not report.detected
+        assert report.reason is not None and "un-digestible callback" in report.reason
+        assert self._moments(k_ff) == self._moments(k_full)
+
+    def test_no_repeat_found(self):
+        from repro.sched import RoundRobinScheduler
+        from repro.workloads import PeriodicTaskConfig, periodic_task
+
+        def build() -> Kernel:
+            # cost jitter puts the task's RNG state in the digest: it never repeats
+            kernel = Kernel(RoundRobinScheduler())
+            config = PeriodicTaskConfig(cost=2 * MS, period=8 * MS, cost_jitter=0.1)
+            kernel.spawn("jittered", periodic_task(config))
+            kernel.spawn("steady", periodic_task(PeriodicTaskConfig(cost=MS, period=16 * MS)))
+            return kernel
+
+        k_full = build()
+        k_full.run(self.UNTIL)
+        k_ff = build()
+        report = self._run(k_ff)
+        assert report.enabled and not report.detected
+        assert report.boundaries_sampled > MIN_BOUNDARIES
+        assert self._moments(k_ff) == self._moments(k_full)
 
 
 class TestVlcTwoThread:
