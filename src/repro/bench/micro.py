@@ -117,14 +117,15 @@ def bench_calendar(n_rounds: int = 60_000) -> MicroResult:
     )
 
 
-def bench_sim(duration_s: float = 2.0, repeats: int = 4) -> MicroResult:
+def bench_sim(duration_s: float = 2.0, repeats: int = 128) -> MicroResult:
     """Simulated-ns/sec on the canonical mplayer + disturbance mix.
 
     Runs the ``cbs-background`` golden scenario (AudioPlayer under a
     tight CBS reservation, jittery reserved periodic task, best-effort
     disturbance) for ``duration_s`` simulated seconds, ``repeats`` times
-    over fresh kernels (one run is only tens of wall milliseconds; the
-    repeats push the timed section out of timer-noise territory).
+    over fresh kernels.  One run takes ~13 wall milliseconds on a
+    two-vCPU x86_64 VM; 128 repeats keep the timed section above a
+    second there, well clear of timer noise and scheduling hiccups.
     """
     from repro.bench.scenarios import build_scenario
 

@@ -71,7 +71,19 @@ class Scheduler(abc.ABC):
 
     def time_until_internal_event(self, proc: Process, now: int) -> int | None:
         """Upper bound (ns from ``now``) on how long ``proc`` may run
-        before this scheduler needs to re-decide; ``None`` means no bound."""
+        before this scheduler needs to re-decide; ``None`` means no bound.
+
+        The kernel chains the picked process's segments on this bound
+        (:meth:`repro.sim.kernel.Kernel.run`), so an integer ``b`` for the
+        process :meth:`pick` just returned is a promise: after
+        ``charge(proc, d, now + d)`` with ``0 < d < b``, and with no
+        :meth:`on_ready`/:meth:`on_block`/:meth:`on_exit` or calendar
+        event in between, ``pick(now + d)`` returns the same process and
+        ``time_until_internal_event(proc, now + d)`` returns ``b - d``.
+        The kernel skips those two calls, so they must not change the
+        policy's state either.  A policy that cannot promise this returns
+        ``None``, and the kernel re-picks after every segment.
+        """
         return None
 
     # ------------------------------------------------------------------

@@ -45,7 +45,9 @@ class RoundRobinScheduler(Scheduler):
     def charge(self, proc: Process, delta: int, now: int) -> None:
         self._slice_left -= delta
         if self._slice_left <= 0:
-            self._slice_left = self.timeslice
+            # keep the overrun modulo the slice, so charging d1 then d2
+            # leaves the same remainder as charging d1 + d2 at once
+            self._slice_left = self._slice_left % self.timeslice or self.timeslice
             if len(self._queue) > 1 and self._queue[0] is proc:
                 self._queue.rotate(-1)
 

@@ -10,6 +10,14 @@ The kernel advances a nanosecond virtual clock.  At every step it
    event, whichever comes first,
 4. charges the consumed CPU to the process and the scheduler.
 
+Once a pick comes with an integer bound, steps 1–2 are skipped while the
+picked process runs on through consecutive segments (a *chain*): the
+bound, the next calendar event and the horizon are all still ahead, and
+nothing has changed the scheduler's or the calendar's state since the
+pick.  Every per-segment effect (clock, CPU accounting, one ``charge``
+per segment, the value sent into the program) is the same as with a
+re-pick after every segment; see :meth:`Kernel.run`.
+
 System calls are traced through pluggable hooks (see
 :mod:`repro.tracer.qtrace`); each hook may add kernel CPU overhead to the
 call, which is how tracing overhead perturbs the workload exactly as in the
@@ -149,6 +157,11 @@ class Kernel:
         self._exit_watch: set[int] | None = None
         #: set by ``_exit`` when the watch set drains; makes ``run`` stop
         self._stop_run = False
+        #: raised on every kernel path into scheduler state (admission,
+        #: wake-up, block, exit, Label probes, a switch cost charged to
+        #: the budget); ends ``run``'s current chain so the next segment
+        #: starts with a fresh pick
+        self._resched = False
 
     # ------------------------------------------------------------------
     # process management
@@ -176,6 +189,7 @@ class Kernel:
         proc.state = ProcState.READY
         proc.start_time = now
         proc.woken_at = now
+        self._resched = True
         self.scheduler.on_ready(proc, now)
 
     def _unassign(self, proc: Process) -> None:
@@ -190,6 +204,7 @@ class Kernel:
         proc.exit_time = now
         proc.segment = None
         self._unassign(proc)
+        self._resched = True
         self.scheduler.on_exit(proc, now)
         watch = self._exit_watch
         if watch is not None:
@@ -257,6 +272,7 @@ class Kernel:
         proc.wakeup_handle = None
         proc.state = ProcState.READY
         proc.woken_at = now
+        self._resched = True
         self.scheduler.on_ready(proc, now)
 
     def _block(self, proc: Process, spec: SleepUntil | SleepFor, now: int) -> bool:
@@ -273,6 +289,7 @@ class Kernel:
         elif isinstance(spec, WaitEvent):
             proc.state = ProcState.BLOCKED
             self._unassign(proc)
+            self._resched = True
             self.scheduler.on_block(proc, now)
             self._waiters.setdefault(spec.key, []).append(proc)
             return True
@@ -280,6 +297,7 @@ class Kernel:
             raise TypeError(f"unknown block spec {spec!r}")
         proc.state = ProcState.BLOCKED
         self._unassign(proc)
+        self._resched = True
         self.scheduler.on_block(proc, now)
         proc.wakeup_handle = self.events.push(wake_at, self._wake_event, proc)
         return True
@@ -316,6 +334,8 @@ class Kernel:
     def _do_label(self, proc: Process, instr: Label, now: int) -> None:
         probes = self._label_probes.get(instr.name)
         if probes:
+            # a probe may reach scheduler state (``set_params``, ``attach``)
+            self._resched = True
             for probe in probes:
                 probe(proc, now, instr.payload)
 
@@ -333,9 +353,10 @@ class Kernel:
                 return handler
         raise TypeError(f"program of {proc.name} yielded {instr!r}")
 
-    def _fetch_next(self, proc: Process) -> None:
+    def _fetch_next(self, proc: Process, instr: Instruction | None = None) -> None:
         """Pull instructions from the program until one produces a CPU
-        segment (zero-time instructions are executed inline)."""
+        segment (zero-time instructions are executed inline).  ``instr``
+        is one the caller already pulled and has not executed yet."""
         # the clock cannot advance while fetching: zero-time instructions
         # (Fire, Label) only mutate scheduler/waiter state
         clock = self.clock
@@ -346,26 +367,31 @@ class Kernel:
         # proc.state check instead of the ``alive`` property: this loop
         # runs once per yielded instruction
         while proc.state is not exited and proc.segment is None:
-            try:
-                if proc.started:
-                    instr: Instruction = send(clock)
-                else:
-                    instr = next(program)
-                    proc.started = True
-            except StopIteration:
-                self._exit(proc, clock)
-                return
-            except Exception as exc:  # noqa: BLE001 - crash containment
-                # a buggy program must not take the machine down: the
-                # process dies (as on a real segfault) and everything
-                # else keeps running; the exception is kept for autopsy
-                proc.crash = exc
-                self._exit(proc, clock)
-                return
+            if instr is None:
+                try:
+                    if proc.started:
+                        instr = send(clock)
+                    else:
+                        instr = next(program)
+                        proc.started = True
+                except Exception as exc:  # noqa: BLE001 - crash containment
+                    self._program_ended(proc, exc, clock)
+                    return
             handler = dispatch.get(instr.__class__)
             if handler is None:
                 handler = self._resolve_instr(proc, instr)
             handler(proc, instr, clock)
+            instr = None
+
+    def _program_ended(self, proc: Process, exc: Exception, now: int) -> None:
+        """The program raised instead of yielding: ``StopIteration`` is a
+        normal exit.  Anything else is a crash: a buggy program must not
+        take the machine down, so the process dies (as on a real
+        segfault), everything else keeps running, and the exception is
+        kept for autopsy."""
+        if not isinstance(exc, StopIteration):
+            proc.crash = exc
+        self._exit(proc, now)
 
     def _complete_segment(self, proc: Process) -> None:
         seg = proc.segment
@@ -437,6 +463,36 @@ class Kernel:
         cost at ``until``, which a re-entered run would charge in full.
         Callers must tolerate the clock stopping short of ``until``.
 
+        Once the scheduler picks a process with an integer bound ``b``
+        (:meth:`~repro.sched.base.Scheduler.time_until_internal_event`),
+        the loop runs that process through consecutive segments, a
+        *chain*, without dispatching, picking or peeking again.  Every
+        segment still ends exactly where a re-pick would have ended it, at
+        ``min(remaining, b - run since the pick, next event, until)``.  The
+        scheduler contract makes the skipped calls redundant: ``pick``
+        would return the same process and ``time_until_internal_event``
+        ``b`` minus the time run since the pick.  The chain ends, and the
+        next segment starts with a fresh pick, when
+
+        - the bound, the next calendar event or ``until`` is reached;
+        - ``_resched`` is raised: admission, wake-up (which covers
+          ``Fire`` and direct :meth:`fire_event` calls), block, exit, a
+          Label probe about to run, or a switch cost charged to the
+          budget after the pick;
+        - the calendar gained or lost an event since the peek (its push
+          and live counters moved): a push may fall before the cached
+          time, and a cancel may remove the event the chain would stop
+          at, where a re-pick would not split the segment's charge;
+        - or the pick came with no bound (``None``: FP, EDF, a lone
+          process under RR or stride), as stride's ``pick`` writes state.
+
+        Completing a plain ``Compute`` segment or an untraced,
+        non-blocking ``Syscall``, and fetching the next exact-class
+        ``Compute``/untraced ``Syscall``, happen inline.  Everything else
+        (blocking calls, ``SYSCALL_RETURN``, tracers, ``Fire``, ``Label``,
+        subclasses, program exit) goes through ``_complete_segment`` and
+        ``_fetch_next``, the helpers the multicore kernel also uses.
+
         This is the hottest loop of the simulator; scheduler/calendar
         methods and config fields are cached in locals, and the due-event
         dispatch is inlined (``_dispatch_due`` remains as the out-of-line
@@ -453,11 +509,14 @@ class Kernel:
         time_until = scheduler.time_until_internal_event
         stats = self.stats
         obs = self._obs
+        tracers = self.tracers
         cs_cost = self.config.context_switch_cost
         charge_switch = self.config.charge_switch_to_budget
         running = ProcState.RUNNING
         ready = ProcState.READY
         exited = ProcState.EXITED
+        user = SegmentKind.USER
+        in_kernel = SegmentKind.SYSCALL
         while self.clock < until:
             if self._stop_run:
                 return
@@ -467,6 +526,7 @@ class Kernel:
                 stats.dispatched_events += 1
                 ev.callback(clock, ev.payload)
                 ev = pop_due(clock)
+            self._resched = False
             proc = pick(clock)
             if proc is None:
                 if obs is not None:
@@ -495,6 +555,9 @@ class Kernel:
                     self.clock = clock
                     if charge_switch:
                         charge(proc, cs_cost, clock)
+                        # charged after the pick, it may already have
+                        # moved it (an intra-server rotation): no chain
+                        self._resched = True
                 self._current = proc
                 if self.switch_hook is not None:
                     self.switch_hook(proc, clock)
@@ -539,14 +602,71 @@ class Kernel:
                     charge(proc, 0, clock)
                     continue
                 return
-            clock += quantum
-            self.clock = clock
-            proc.cpu_time += quantum
-            stats.busy_time += quantum
-            segment.remaining -= quantum
-            charge(proc, quantum, clock)
-            if proc.segment is not None and proc.segment.remaining == 0:
-                self._complete_segment(proc)
+            # the chain may run on while the clock stays below ``limit``;
+            # with no bound it ends after this segment
+            limit = clock
+            if bound is not None:
+                limit = clock + bound
+                if nxt is not None and nxt < limit:
+                    limit = nxt
+                if until < limit:
+                    limit = until
+            pushes = events._seq
+            live = events._live
+            while True:
+                clock += quantum
+                self.clock = clock
+                proc.cpu_time += quantum
+                stats.busy_time += quantum
+                segment.remaining -= quantum
+                charge(proc, quantum, clock)
+                segment = proc.segment
+                if segment is None or segment.remaining:
+                    break
+                kind = segment.kind
+                if kind is user or (kind is in_kernel and segment.block is None and not tracers):
+                    # inline ``_complete_segment``/``_finish_syscall``/
+                    # ``_fetch_next`` for the common case
+                    if kind is in_kernel:
+                        proc.syscall_count += 1
+                        stats.syscalls += 1
+                    proc.segment = segment = None
+                    send = proc.program.send
+                    while True:
+                        try:
+                            instr = send(clock)
+                        except Exception as exc:  # noqa: BLE001 - crash containment
+                            self._program_ended(proc, exc, clock)
+                            break
+                        # ``type(...) is`` (not ``__class__``) narrows for mypy
+                        if type(instr) is Compute:
+                            if instr.duration > 0:
+                                proc.segment = segment = Segment(user, instr.duration)
+                                break
+                        elif type(instr) is Syscall and not tracers:
+                            cost = instr.cost
+                            proc.segment = segment = Segment(
+                                in_kernel, cost if cost > 1 else 1, instr, instr.block, clock
+                            )
+                            break
+                        else:
+                            self._fetch_next(proc, instr)
+                            segment = proc.segment
+                            break
+                else:
+                    self._complete_segment(proc)
+                    segment = proc.segment
+                if (
+                    segment is None
+                    or clock >= limit
+                    or self._resched
+                    or events._seq != pushes
+                    or events._live != live
+                ):
+                    break
+                quantum = segment.remaining
+                if limit - clock < quantum:
+                    quantum = limit - clock
 
     def run_until_exit(self, procs: Iterable[Process], hard_limit: int) -> int:
         """Run until every process in ``procs`` exited (or ``hard_limit``).

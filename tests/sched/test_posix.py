@@ -1,6 +1,8 @@
 """Tests for the round-robin best-effort scheduler."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sched import RoundRobinScheduler
 from repro.sim import Compute, Kernel, KernelConfig, MS, SEC, SleepFor, Syscall, SyscallNr
@@ -57,3 +59,20 @@ class TestRoundRobin:
         p = kernel.spawn("only", hog())
         kernel.run(100 * MS)
         assert p.cpu_time == 100 * MS
+
+    @given(
+        timeslice=st.integers(min_value=1, max_value=10_000),
+        charges=st.lists(st.integers(min_value=1, max_value=30_000), min_size=1, max_size=8),
+    )
+    def test_lone_process_slice_remainder_composes(self, timeslice, charges):
+        # a lone process's quanta are cut wherever an event or a run's
+        # horizon falls, so the overrun past a slice must carry over
+        split = RoundRobinScheduler(timeslice=timeslice)
+        whole = RoundRobinScheduler(timeslice=timeslice)
+        kernel = Kernel(split)
+        proc = kernel.spawn("only", hog())
+        whole.on_ready(proc, 0)
+        for delta in charges:
+            split.charge(proc, delta, 0)
+        whole.charge(proc, sum(charges), 0)
+        assert split.cycle_state(0) == whole.cycle_state(0)
