@@ -91,10 +91,12 @@ class LatencyStats:
         """Record ``samples`` ``times`` over, bit-for-bit as that many
         rounds of :meth:`add` (fast-forward's replay of skipped cycles).
 
-        ``total`` and ``max`` are closed-form.  The Welford floats round
-        differently at every step, so they and ``n`` advance in one loop
-        over locals, on samples converted to float once up front (the
-        conversion ``latency - mean`` would make at every step).
+        ``total``, ``max`` and ``n`` are closed-form.  The Welford floats
+        round differently at every step, so they advance in one loop over
+        locals, on samples converted to float once up front (the
+        conversion ``latency - mean`` would make at every step), and
+        with the running count kept as a float, which ``delta / n``
+        would otherwise convert at every step (exact below 2**53).
         Subclasses that extend :meth:`add` extend this too.
         """
         if not samples or times <= 0:
@@ -102,14 +104,15 @@ class LatencyStats:
         self.total += times * sum(samples)
         self.max = max(self.max, max(samples))
         values = [float(latency) for latency in samples]
-        n, mean, m2 = self.n, self._mean, self._m2
+        count, mean, m2 = float(self.n), self._mean, self._m2
         for _ in range(times):
             for latency in values:
-                n += 1
+                count += 1.0
                 delta = latency - mean
-                mean += delta / n
+                mean += delta / count
                 m2 += delta * (latency - mean)
-        self.n, self._mean, self._m2 = n, mean, m2
+        self.n += times * len(values)
+        self._mean, self._m2 = mean, m2
 
     @property
     def mean(self) -> float:

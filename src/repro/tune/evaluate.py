@@ -3,11 +3,17 @@
 One candidate = one concrete scenario (the workload class instantiated
 with the candidate's controller parameters) = one simulation.  The
 evaluator batches every cache-missing candidate of a generation into a
-**single** :func:`~repro.fleet.engine.run_fleet` call — the search
-algorithms hand over whole generations, so ``--jobs N`` parallelism
-applies across candidates — and reads each candidate's metrics back
-from its per-group sub-aggregate, which folds exactly one sim and is
-therefore independent of worker scheduling.
+**single** :func:`~repro.fleet.engine.run_fleet` call and reads each
+candidate's metrics back from its per-group sub-aggregate, which folds
+exactly one sim and is therefore independent of worker scheduling.
+
+Every batch runs on the :class:`~repro.fleet.engine.WorkerPool` the
+evaluator is given (serially in-process without one).  The search hands
+over many small, strictly sequential batches — a global phase, then one
+short batch per axis of the descent — so the caller holds one pool
+across all of them: its workers fork on the first miss and stay warm,
+and a batch smaller than ``jobs × chunksize`` is split evenly across
+them.
 
 Every scored candidate is stored in the
 :class:`~repro.experiments.cache.ResultCache` under a canonical,
@@ -24,7 +30,7 @@ from typing import Any
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, canonical_kwargs, package_digest
-from repro.fleet.engine import run_fleet
+from repro.fleet.engine import WorkerPool, run_fleet
 from repro.fleet.summary import FleetAggregate
 from repro.tune.classes import WorkloadClass
 
@@ -79,7 +85,8 @@ class Evaluator:
     """Batched, cached scorer for one workload class.
 
     The callable interface (:meth:`evaluate_batch`) is what
-    :func:`repro.tune.search.run_search` expects.  Instances keep three
+    :func:`repro.tune.search.run_search` expects.  Cache misses run on
+    ``pool``, or serially in-process without one.  Instances keep three
     counters the CLI reports: ``evaluations`` (configs scored),
     ``cache_hits`` (served from disk or the in-run memo) and
     ``sims_run`` (simulations actually executed).
@@ -93,14 +100,14 @@ class Evaluator:
         seed: int,
         horizon_ns: int,
         cache: ResultCache | None = None,
-        jobs: int = 1,
+        pool: WorkerPool | None = None,
     ) -> None:
         self.workload_class = workload_class
         self.objective = objective
         self.seed = seed
         self.horizon_ns = horizon_ns
         self.cache = cache
-        self.jobs = jobs
+        self.pool = pool
         self.evaluations = 0
         self.cache_hits = 0
         self.sims_run = 0
@@ -169,7 +176,7 @@ class Evaluator:
                 config, group=group, seed=self.seed, horizon_ns=self.horizon_ns
             )
             pairs.append((group, spec))
-        aggregate = run_fleet([spec for _, spec in pairs], jobs=self.jobs)
+        aggregate = run_fleet([spec for _, spec in pairs], pool=self.pool)
         self.sims_run += len(pairs)
         out: list[dict[str, float]] = []
         for (group, _), config in zip(pairs, configs, strict=True):

@@ -25,7 +25,9 @@ where (``classes`` from the catalogue)::
 per-parameter descent — and also scores the paper-default configuration
 so the report can state the improvement.  All candidate evaluations are
 deduplicated through the experiment cache; a warm rerun executes zero
-simulations.
+simulations.  One :class:`~repro.fleet.engine.WorkerPool` serves every
+evaluation of a run: it forks on the first cache miss (so a warm rerun
+forks nothing) and is shut down when the run returns or raises.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Any
 
 from repro.experiments.cache import ResultCache
 from repro.fleet._toml import load_toml
+from repro.fleet.engine import WorkerPool
 from repro.fleet.spec import SpecError, _int_field, _ms_to_ns, _reject_unknown
 from repro.sim.time import MS
 from repro.tune.classes import WORKLOAD_CLASSES
@@ -159,30 +162,31 @@ def run_tune(
     base_config = default_config(spec.space)
     classes: dict[str, dict[str, Any]] = {}
     evaluations = cache_hits = sims_run = 0
-    for offset, key in enumerate(spec.classes):
-        evaluator = Evaluator(
-            WORKLOAD_CLASSES[key],
-            spec.objective,
-            seed=spec.seed,
-            horizon_ns=spec.horizon_ns,
-            cache=cache,
-            jobs=jobs,
-        )
-        default_score = evaluator.evaluate_batch([dict(base_config)])[0]
-        result = run_search(
-            spec.space,
-            evaluator.evaluate_batch,
-            budget=spec.budget,
-            seed=spec.seed + offset,
-            method=spec.method,
-            initial=dict(base_config),
-        )
-        classes[key] = class_payload(
-            result, default_config=base_config, default_score=default_score
-        )
-        evaluations += evaluator.evaluations
-        cache_hits += evaluator.cache_hits
-        sims_run += evaluator.sims_run
+    with WorkerPool(jobs) as pool:
+        for offset, key in enumerate(spec.classes):
+            evaluator = Evaluator(
+                WORKLOAD_CLASSES[key],
+                spec.objective,
+                seed=spec.seed,
+                horizon_ns=spec.horizon_ns,
+                cache=cache,
+                pool=pool,
+            )
+            default_score = evaluator.evaluate_batch([dict(base_config)])[0]
+            result = run_search(
+                spec.space,
+                evaluator.evaluate_batch,
+                budget=spec.budget,
+                seed=spec.seed + offset,
+                method=spec.method,
+                initial=dict(base_config),
+            )
+            classes[key] = class_payload(
+                result, default_config=base_config, default_score=default_score
+            )
+            evaluations += evaluator.evaluations
+            cache_hits += evaluator.cache_hits
+            sims_run += evaluator.sims_run
     payload = tune_payload(
         name=spec.name,
         seed=spec.seed,

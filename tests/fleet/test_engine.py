@@ -6,6 +6,7 @@ are folded strictly in fleet order regardless of completion order.
 """
 
 import io
+import itertools
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.fleet import (
     run_sim,
     scenario_from_toml,
 )
+from repro.fleet.engine import WorkerPool, _chunked
 
 TEMPLATE = """
 [template]
@@ -76,6 +78,75 @@ def test_jobs_1_vs_4_byte_identical():
     assert serial.digest() == parallel.digest()
     assert serial_stream.getvalue() == parallel_stream.getvalue()
     assert serial.sims == 12
+
+
+def _run_first(n, **kwargs):
+    stream = io.StringIO()
+    aggregate = run_fleet(itertools.islice(_specs(), n), chunksize=3, stream=stream, **kwargs)
+    assert aggregate.sims == n
+    return aggregate.digest(), stream.getvalue()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_jobs_n_byte_identical_on_fresh_and_reused_pools(jobs):
+    # around the chunk rule's edge: jobs x chunksize sims are split evenly
+    # across the workers, one more keeps chunks of chunksize
+    edge = jobs * 3
+    sizes = [0, 1, 2, edge - 1, edge, edge + 1]
+    serial = [_run_first(n) for n in sizes]
+    assert [_run_first(n, jobs=jobs) for n in sizes] == serial
+    with WorkerPool(jobs) as pool:
+        assert [_run_first(n, pool=pool) for n in sizes] == serial
+
+
+def test_chunks_are_sized_to_a_small_batch():
+    def layout(n, jobs, chunksize):
+        return [len(chunk) for chunk in _chunked(range(n), jobs, chunksize)]
+
+    assert layout(14, 2, 16) == [7, 7]
+    assert layout(5, 2, 16) == [3, 2]
+    assert layout(1, 3, 16) == [1]
+    assert layout(0, 2, 16) == []
+    # fleet-sized streams keep chunksize: 32 = 2 x 16 splits the same way
+    assert layout(32, 2, 16) == [16, 16]
+    assert layout(36, 2, 16) == [16, 16, 4]
+    # jobs=1 is chunksize-bounded either way
+    assert layout(14, 1, 16) == [14]
+    assert layout(20, 1, 16) == [16, 4]
+
+
+def test_chunk_rule_reads_a_bounded_head_of_a_lazy_stream():
+    pulled = []
+
+    def stream():
+        for i in itertools.count():
+            pulled.append(i)
+            yield i
+
+    chunks = _chunked(stream(), 2, 3)
+    assert next(chunks) == [0, 1, 2]
+    assert len(pulled) == 2 * 3 + 1
+
+
+def test_small_batch_spans_one_chunk_per_worker():
+    from repro.obs.telemetry import Telemetry
+
+    telemetry = Telemetry()
+    specs = list(_specs(TEMPLATE.replace("nodes = 6", "nodes = 7")))
+    assert len(specs) == 14
+    run_fleet(specs, jobs=2, chunksize=16, telemetry=telemetry)
+    assert [s.args["sims"] for s in telemetry.spans if s.cat == "fleet"] == [7, 7]
+
+
+def test_pool_forks_on_first_use_and_reaps_on_close():
+    import multiprocessing
+
+    with WorkerPool(2) as pool:
+        assert run_fleet([], pool=pool).sims == 0
+        assert not multiprocessing.active_children()
+        assert run_fleet(itertools.islice(_specs(), 2), pool=pool).sims == 2
+        assert multiprocessing.active_children()
+    assert not multiprocessing.active_children()
 
 
 def test_chunksize_does_not_change_the_result():

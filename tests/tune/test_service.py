@@ -7,9 +7,12 @@ best can never be worse than the paper default it is compared against.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
+import repro.fleet.engine as engine
 from repro.experiments.cache import ResultCache
 from repro.fleet.spec import SpecError
 from repro.tune.report import SCHEMA, rank_importance, write_tune_json
@@ -128,6 +131,42 @@ class TestRunTune:
         write_tune_json(b, cold.payload)
         assert a.read_bytes() == b.read_bytes()
         assert json.loads(a.read_text())["schema"] == SCHEMA
+
+
+class TestWarmPool:
+    """One pool per tune run: forked on the first miss, reaped on the way out."""
+
+    def test_one_pool_per_cold_tune_and_none_when_warm(self, tmp_path, monkeypatch):
+        started = []
+        real = engine.ProcessPoolExecutor
+
+        def spy(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", spy)
+        spec = tune_spec_from_toml(SPEC_TOML)
+        cold = run_tune(spec, jobs=2, cache=ResultCache(tmp_path))
+        assert cold.sims_run > 1
+        assert started == [2]
+        assert not multiprocessing.active_children()
+        warm = run_tune(spec, jobs=2, cache=ResultCache(tmp_path))
+        assert warm.sims_run == 0
+        assert started == [2]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing sim reaches the workers through fork",
+    )
+    def test_workers_are_reaped_when_a_sim_fails_in_one(self, monkeypatch):
+        def failing_sim(spec, fast_forward):
+            raise RuntimeError(os.getpid())
+
+        monkeypatch.setattr(engine, "run_sim", failing_sim)
+        with pytest.raises(RuntimeError) as failure:
+            run_tune(tune_spec_from_toml(SPEC_TOML), jobs=2, cache=None)
+        assert failure.value.args[0] != os.getpid()  # raised in a worker
+        assert not multiprocessing.active_children()
 
 
 class TestTuneSpecValidation:
