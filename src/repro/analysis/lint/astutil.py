@@ -18,12 +18,10 @@ from collections.abc import Iterator
 #: of these is already sanitised when it reaches the clock API.
 INT_SANITISERS = frozenset({"int", "round", "len", "from_seconds", "from_millis", "from_micros"})
 
-#: ``try`` statements, including PEP 654 ``try/except*`` on 3.11+.  Use
-#: this instead of ``ast.Try`` in isinstance checks so exception-group
+#: ``try`` statements, including PEP 654 ``try/except*``.  Use this
+#: instead of ``ast.Try`` in isinstance checks so exception-group
 #: handlers are traversed rather than silently falling through.
-TRY_NODES: tuple[type[ast.AST], ...] = (
-    (ast.Try, ast.TryStar) if hasattr(ast, "TryStar") else (ast.Try,)
-)
+TRY_NODES: tuple[type[ast.AST], ...] = (ast.Try, ast.TryStar)
 
 #: PEP 695 ``type X = ...`` statements (3.12+); empty tuple on older
 #: interpreters so ``isinstance(node, TYPE_ALIAS_NODES)`` is just False.

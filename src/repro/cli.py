@@ -54,9 +54,24 @@ def _make_cache(args):
     return ResultCache(getattr(args, "cache_dir", None))
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for pool widths and chunk sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_exec_flags(subparser) -> None:
     subparser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="process-pool width (default: 1, serial)"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="process-pool width (default: 1, serial)",
     )
     subparser.add_argument(
         "--no-cache", action="store_true", help="do not read or write the on-disk result cache"
@@ -202,11 +217,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     fr_p.add_argument("spec", help="scenario or template TOML (templates have a [template] table)")
     fr_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes (default: 1, inline)"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="worker processes (default: 1, inline)",
     )
     fr_p.add_argument(
         "--chunksize",
-        type=int,
+        type=_positive_int,
         default=16,
         metavar="K",
         help="sims packed per pool task (default: 16; result-invariant)",
@@ -417,20 +436,16 @@ def _fleet_specs(path: str):
     from pathlib import Path
 
     from repro.fleet import expand_template, load_scenario, load_template
-    from repro.fleet._toml import load_toml
-    from repro.fleet.spec import SpecError
+    from repro.fleet.spec import SpecError, load_toml
 
     try:
         doc = load_toml(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path!r}: {exc}") from None
-    except ValueError as exc:
-        raise SystemExit(f"{path}: {exc}") from None
-    try:
         if "template" in doc:
             template = load_template(path)
             return expand_template(template), template.size
         return iter([load_scenario(path)]), 1
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path!r}: {exc}") from None
     except SpecError as exc:
         raise SystemExit(f"{path}: {exc}") from None
 

@@ -39,6 +39,10 @@ from repro.workloads import VideoPlayer
 from repro.workloads.desktop import desktop_load, desktop_suite
 from repro.workloads.mplayer import VideoPlayerConfig
 
+#: wall-clock columns that legitimately differ between two runs (all of
+#: them abl-detector's, from :func:`run_detector_comparison`)
+TIMING_COLUMNS = ("spectrum_ms", "interval_ms")
+
 
 def _playback(
     *,

@@ -131,9 +131,10 @@ class ExperimentResult:
     def comparable(self, *, ignore_columns: tuple[str, ...] = ()) -> dict:
         """Like :meth:`to_jsonable` but with wall-clock columns dropped.
 
-        Experiments that measure host wall-clock time (fig06/fig07 declare
-        theirs in a module-level ``TIMING_COLUMNS``) can never be
-        bit-identical across runs; everything else must be.
+        Experiments that measure host wall-clock time (fig06, fig07,
+        fig08 and the detector ablation declare theirs in a module-level
+        ``TIMING_COLUMNS``) can never be bit-identical across runs;
+        everything else must be.
         """
         d = self.to_jsonable()
         if ignore_columns:

@@ -20,6 +20,9 @@ from repro.experiments.base import ExperimentResult, mean_std
 from repro.experiments.fig06 import collect_traces, window
 from repro.sim.time import SEC
 
+#: wall-clock columns that legitimately differ between two runs
+TIMING_COLUMNS = ("detect_us", "detect_us_std")
+
 
 def run(
     *,

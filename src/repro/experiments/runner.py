@@ -1,38 +1,42 @@
 """Process-pool fan-out layer over the experiment :data:`REGISTRY`.
 
-Two levels of parallelism, both with results bit-identical to a serial
-run:
+Two levels of parallelism, both on the one
+:class:`~repro.fleet.engine.WorkerPool` and both with results
+bit-identical to a serial run:
 
 **Registry sharding** (:func:`run_many`) — independent experiments are
-submitted to a :class:`~concurrent.futures.ProcessPoolExecutor`; each one
-runs serially inside its worker.  This is what ``repro-exp all --jobs N``
-and ``repro-exp bench --jobs N`` use.
+mapped over the pool; each one runs serially inside its worker.  This is
+what ``repro-exp all --jobs N`` and ``repro-exp bench --jobs N`` use.
 
-**Repetition sharding** (:func:`run_experiment` with ``jobs > 1``) — the
-expensive sweeps (fig06/fig07/fig10/fig12/tab03) expose a ``map_fn``
-keyword: their per-repetition inner loops are written against the builtin
-``map`` protocol, and the runner swaps in an order-preserving process-pool
-map.  Every work unit derives its seed deterministically from the unit
-*index* (``seed0 + r``), never from worker identity or execution order, so
-``--jobs 1`` and ``--jobs 8`` produce the same
-:class:`~repro.experiments.base.ExperimentResult` — only wall-clock
-timing columns (declared per-module in ``TIMING_COLUMNS``) may differ,
-exactly as they differ between two serial runs.
+**Repetition sharding** (:func:`run_experiment`) — the expensive sweeps
+(fig06/fig07/fig10/fig12/tab03, events-vs-periodic, robustness) expose a
+``map_fn`` keyword: their per-repetition inner loops are written against
+the builtin ``map`` protocol, and the runner passes the pool's
+order-preserving :meth:`~repro.fleet.engine.WorkerPool.map` (the builtin
+``map`` itself at ``jobs=1``).  Every work unit derives its seed
+deterministically from the unit *index* (``seed0 + r``), never from
+worker identity or execution order, so ``--jobs 1`` and ``--jobs 8``
+produce the same :class:`~repro.experiments.base.ExperimentResult` —
+only wall-clock timing columns may differ, exactly as they differ
+between two serial runs.  fig06/fig07 (``transform_ms``), fig08
+(``detect_us``) and the detector ablation (``spectrum_ms``,
+``interval_ms``) declare theirs in a module-level ``TIMING_COLUMNS``.
 
 Both paths consult an optional on-disk :class:`~repro.experiments.cache.
 ResultCache`; cached entries are keyed on name + canonicalised kwargs +
-code digest, so parallel and serial invocations share hits.
+code digest, so parallel and serial invocations share hits, and a run
+served from the cache starts no pool.
 """
 
 from __future__ import annotations
 
 import inspect
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache
+from repro.fleet.engine import WorkerPool
 
 
 @dataclass
@@ -45,27 +49,6 @@ class RunOutcome:
     cached: bool = False
     jobs: int = 1
     key: str | None = None
-
-
-class _PoolMap:
-    """Order-preserving ``map`` over a process pool (the sharding hook).
-
-    Wraps ``ProcessPoolExecutor.map``; results come back in submission
-    order whatever the ``chunksize``, which is what keeps parallel runs
-    bit-identical to serial ones.  ``chunksize=1`` (the default) fans
-    work units out one-per-task — right for expensive units like a whole
-    experiment repetition; batch runners over many cheap units (the
-    fleet engine) raise it to amortise pickling and task dispatch.
-    """
-
-    def __init__(self, executor: ProcessPoolExecutor, chunksize: int = 1):
-        if chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self._executor = executor
-        self._chunksize = chunksize
-
-    def __call__(self, fn, *iterables):
-        return self._executor.map(fn, *iterables, chunksize=self._chunksize)
 
 
 def _supports_map_fn(run_fn) -> bool:
@@ -90,18 +73,13 @@ def run_experiment(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    mp_context=None,
-    chunksize: int = 1,
 ) -> RunOutcome:
-    """Run one experiment, optionally sharding its inner loops.
+    """Run one experiment, sharding its inner loops over ``jobs`` workers.
 
     ``overrides`` are the user-facing ``run()`` kwargs and are the only
-    thing that enters the cache key — the execution strategy (``jobs``,
-    ``mp_context``, ``chunksize``) never does, because it cannot change
-    the result.  ``mp_context`` is forwarded to the executor; workers
-    only receive picklable module-level callables, so every start method
-    (fork/spawn/forkserver) produces identical results.  ``chunksize``
-    batches map work units per pool task (see :class:`_PoolMap`).
+    thing that enters the cache key — ``jobs`` never does, because it
+    cannot change the result.  Experiments without a ``map_fn`` hook run
+    serially whatever ``jobs`` is.
     """
     entry = _resolve(name)
     overrides = dict(overrides or {})
@@ -116,11 +94,9 @@ def run_experiment(
             )
 
     start = time.perf_counter()
-    if jobs > 1 and _supports_map_fn(entry.run):
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context) as executor:
-            result = entry.run(**overrides, map_fn=_PoolMap(executor, chunksize))
-    else:
-        result = entry.run(**overrides)
+    with WorkerPool(jobs) as pool:
+        hook = {"map_fn": pool.map} if _supports_map_fn(entry.run) else {}
+        result = entry.run(**overrides, **hook)
     elapsed = time.perf_counter() - start
 
     if cache is not None and key is not None:
@@ -149,27 +125,26 @@ def run_many(
     *,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    mp_context=None,
 ) -> list[RunOutcome]:
-    """Shard a list of experiments across a process pool.
+    """Shard a list of experiments across ``jobs`` workers.
 
     Results come back in the order of ``names`` regardless of which
     worker finished first.  Cache lookups happen up front in the parent
-    process, so only the misses are submitted to the pool — and each
-    miss is submitted as its *run callable*, never as a registry name,
-    so any multiprocessing start method (``mp_context``) works even for
-    dynamically registered experiments.
+    process, so only the misses reach the pool — and each miss is
+    shipped as its *run callable*, never as a registry name, so any
+    multiprocessing start method works even for dynamically registered
+    experiments.
     """
-    overrides_map = dict(overrides_map or {})
+    overrides_map = overrides_map or {}
+    overrides_of = {name: dict(overrides_map.get(name, {})) for name in names}
     entries = {name: _resolve(name) for name in names}  # fail fast on unknown names
 
     outcomes: dict[str, RunOutcome] = {}
     pending: list[str] = []
     keys: dict[str, str] = {}
     for name in names:
-        overrides = dict(overrides_map.get(name, {}))
         if cache is not None:
-            key = cache.key_for(name, overrides)
+            key = cache.key_for(name, overrides_of[name])
             keys[name] = key
             hit = cache.get(name, key)
             if hit is not None:
@@ -179,27 +154,16 @@ def run_many(
                 continue
         pending.append(name)
 
-    if pending:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs, mp_context=mp_context) as executor:
-                futures = {
-                    name: executor.submit(
-                        _run_entry, entries[name].run, dict(overrides_map.get(name, {}))
-                    )
-                    for name in pending
-                }
-                computed = {name: fut.result() for name, fut in futures.items()}
-        else:
-            computed = {
-                name: _run_entry(entries[name].run, dict(overrides_map.get(name, {})))
-                for name in pending
-            }
-        for name, (result, elapsed) in computed.items():
+    with WorkerPool(jobs) as pool:
+        computed = pool.map(
+            _run_entry,
+            [entries[name].run for name in pending],
+            [overrides_of[name] for name in pending],
+        )
+        for name, (result, elapsed) in zip(pending, computed, strict=True):
             key = keys.get(name)
             if cache is not None and key is not None:
-                cache.put(
-                    name, key, result, kwargs=dict(overrides_map.get(name, {})), elapsed_s=elapsed
-                )
+                cache.put(name, key, result, kwargs=overrides_of[name], elapsed_s=elapsed)
             outcomes[name] = RunOutcome(
                 name=name, result=result, elapsed_s=elapsed, jobs=jobs, key=key
             )

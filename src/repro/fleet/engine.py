@@ -1,28 +1,28 @@
-"""The batched multi-sim engine: chunked dispatch + streaming fold.
+"""The batched multi-sim engine, and the worker pool every fan-out runs on.
 
 Naive fleet execution submits one pool task per sim; for the cheap,
 fast-forwardable units a fleet is made of, pickling and task dispatch
-then dominate wall-clock.  This engine packs up to ``chunksize`` sims
-per task, warms each worker once (imports and construction memos — see
-:mod:`repro.fleet.build`), and keeps at most ``jobs × 2`` chunks in
-flight, so the parent folds :class:`~repro.fleet.summary.SimSummary`
-objects as they arrive and its memory stays flat however large the
-fleet is.
+then dominate wall-clock.  :func:`run_fleet` packs up to ``chunksize``
+sims per task and folds :class:`~repro.fleet.summary.SimSummary`
+objects as they arrive, so the parent's memory stays flat however large
+the fleet is.
 
-Workers live in a :class:`WorkerPool`, which forks them on the first
-chunk it is handed and reaps them when closed.  :func:`run_fleet`
-always goes through one: its own, closed when the call returns, or one
-a caller holds across many calls, as the tuner does for every
-generation of a run.  A batch of at most ``jobs × chunksize`` sims is
-cut into ``jobs`` equal chunks, so a small batch still reaches every
-worker; a longer stream keeps ``chunksize``.
+:class:`WorkerPool` is the one process pool in ``repro``: the fleet, the
+tuner (one pool for every generation of a run) and the experiment
+runner (registry and repetition sharding) all go through its
+:meth:`~WorkerPool.map`.  It forks its workers on the first task and
+reaps them when closed.  A lazy input, such as a fleet's chunk stream,
+is read at most ``jobs × 2`` tasks ahead; a list is submitted whole, so
+one slow task never idles the other workers.  A batch of at most
+``jobs × chunksize`` sims is cut into ``jobs`` equal chunks, so a small
+batch still reaches every worker; a longer stream keeps ``chunksize``.
 
-Determinism: chunks are submitted, completed-waited and folded strictly
-in fleet order (``ProcessPoolExecutor`` futures are drained FIFO), so
-``jobs=N`` produces a byte-identical aggregate — and JSONL stream — to
-``jobs=1``, on a fresh pool or a reused one.  The engine itself never
-reads the host clock; throughput timing belongs to its callers (the CLI
-and the ``fleet`` micro benchmark).
+Determinism: results come back, and chunks are folded, strictly in
+input order whatever order the workers finish in, so ``jobs=N``
+produces a byte-identical aggregate — and JSONL stream — to ``jobs=1``,
+on a fresh pool or a reused one.  The engine itself never reads the
+host clock; throughput timing belongs to its callers (the CLI and the
+``fleet`` micro benchmark).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 import json
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sized
 from concurrent.futures import Future, ProcessPoolExecutor
 from pathlib import Path
-from typing import IO, TYPE_CHECKING
+from typing import IO, TYPE_CHECKING, Any, TypeVar
 
 from repro.fleet.build import run_sim
 from repro.fleet.spec import ScenarioSpec
@@ -42,15 +42,12 @@ from repro.fleet.summary import FleetAggregate, SimSummary
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.telemetry import Telemetry
 
-#: outstanding chunks per worker: enough to keep every worker busy while
-#: the parent folds, small enough to bound parent memory at
-#: ``O(jobs × chunksize)`` summaries
+#: outstanding tasks per worker on a lazy input: enough to keep every
+#: worker busy while the parent folds, small enough to bound parent
+#: memory at ``O(jobs × chunksize)`` summaries
 _WINDOW_PER_JOB = 2
 
-
-def _warm_worker() -> None:
-    """Pool initializer: pay the heavy imports once per worker process."""
-    import repro.fleet.build  # noqa: F401  (pulls sim, sched, workloads, numpy)
+T = TypeVar("T")
 
 
 # repro: allow[CC001]  -- reaches the idempotent cycle-adapter registry; deterministic per process
@@ -82,14 +79,14 @@ def _chunked(
 
 
 class WorkerPool:
-    """``jobs`` warmed worker processes that serve any number of fleet runs.
+    """``jobs`` worker processes behind one order-preserving :meth:`map`.
 
-    The workers are forked on the first chunk submitted, never before,
-    so a holder that ends up running nothing (a tune replayed from the
-    cache) costs no fork; with ``jobs=1`` :func:`run_fleet` runs in
-    process and nothing is ever forked.  :meth:`close` (or leaving a
-    ``with`` block) shuts the workers down and waits until they are
-    reaped.
+    The workers are forked on the first task, never before, so a holder
+    that ends up running nothing (a tune replayed from the cache, a
+    sweep served from the result cache) costs no fork; with ``jobs=1``
+    every task runs in process and nothing is ever forked.  :meth:`close`
+    (or leaving a ``with`` block) cancels queued tasks, shuts the workers
+    down and waits until they are reaped.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -98,14 +95,35 @@ class WorkerPool:
         self.jobs = jobs
         self._executor: ProcessPoolExecutor | None = None
 
-    def submit(self, specs: list[ScenarioSpec], fast_forward: bool) -> Future[list[SimSummary]]:
-        """Queue one chunk on the workers, forking them on first use."""
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs, initializer=_warm_worker)
-        return self._executor.submit(_run_chunk, specs, fast_forward)
+    def map(self, fn: Callable[..., T], *iterables: Iterable[Any]) -> Iterator[T]:
+        """``map(fn, *iterables)`` on the workers, results in input order.
+
+        With ``jobs=1`` this is the builtin :func:`map`, in process.
+        Otherwise, if every iterable is sized (a list), all of its tasks
+        are submitted at once; a lazy input is read at most
+        ``jobs × 2`` tasks ahead of the results taken.  ``fn`` and the
+        arguments must pickle.
+        """
+        if self.jobs == 1:
+            return map(fn, *iterables)
+        sized = all(isinstance(it, Sized) for it in iterables)
+        return self._ordered(fn, zip(*iterables), None if sized else self.jobs * _WINDOW_PER_JOB)
+
+    def _ordered(
+        self, fn: Callable[..., T], tasks: Iterator[tuple[Any, ...]], window: int | None
+    ) -> Iterator[T]:
+        pending: deque[Future[T]] = deque()
+        for args in tasks:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            pending.append(self._executor.submit(fn, *args))
+            if window is not None and len(pending) >= window:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
     def close(self) -> None:
-        """Cancel queued chunks, stop the workers and reap them."""
+        """Cancel queued tasks, stop the workers and reap them."""
         if self._executor is not None:
             self._executor.shutdown(cancel_futures=True)
             self._executor = None
@@ -159,42 +177,26 @@ def run_fleet(
     else:
         out = open(stream, "w", encoding="utf-8")
         close_after = True
-    chunk_idx = 0
-
-    def _fold(summaries: list[SimSummary]) -> None:
-        nonlocal chunk_idx
-        span_start = aggregate.simulated_ns
-        for summary in summaries:
-            aggregate.fold(summary)
-            if out is not None:
-                line = json.dumps(summary.to_jsonable(), sort_keys=True, separators=(",", ":"))
-                out.write(line + "\n")
-        if telemetry is not None:
-            telemetry.span(
-                "fleet",
-                f"chunk{chunk_idx}",
-                "fleet",
-                span_start,
-                aggregate.simulated_ns,
-                sims=len(summaries),
-                misses=aggregate.misses,
-            )
-        chunk_idx += 1
-
     try:
         chunks = _chunked(specs, pool.jobs, chunksize)
-        if pool.jobs == 1:
-            for chunk in chunks:
-                _fold(_run_chunk(chunk, fast_forward))
-        else:
-            window = pool.jobs * _WINDOW_PER_JOB
-            pending: deque[Future[list[SimSummary]]] = deque()
-            for chunk in chunks:
-                pending.append(pool.submit(chunk, fast_forward))
-                if len(pending) >= window:
-                    _fold(pending.popleft().result())
-            while pending:
-                _fold(pending.popleft().result())
+        results = pool.map(_run_chunk, chunks, itertools.repeat(fast_forward))
+        for chunk_idx, summaries in enumerate(results):
+            span_start = aggregate.simulated_ns
+            for summary in summaries:
+                aggregate.fold(summary)
+                if out is not None:
+                    line = json.dumps(summary.to_jsonable(), sort_keys=True, separators=(",", ":"))
+                    out.write(line + "\n")
+            if telemetry is not None:
+                telemetry.span(
+                    "fleet",
+                    f"chunk{chunk_idx}",
+                    "fleet",
+                    span_start,
+                    aggregate.simulated_ns,
+                    sims=len(summaries),
+                    misses=aggregate.misses,
+                )
     finally:
         if owned:
             pool.close()

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.fleet._toml import load_toml
 from repro.sim.time import MS
 
 #: scheduler kinds the DSL accepts (see :mod:`repro.sched`)
@@ -36,6 +36,14 @@ FAULT_KINDS = ("overload", "mode-switch")
 
 class SpecError(ValueError):
     """A scenario document that cannot be turned into a valid spec."""
+
+
+def load_toml(text: str) -> dict[str, Any]:
+    """Parse a TOML document; a malformed one is a :class:`SpecError`."""
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise SpecError(f"malformed TOML: {exc}") from None
 
 
 def _ms_to_ns(value: Any, key: str, where: str) -> int:

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.fleet._toml import load_toml
-from repro.fleet.spec import ScenarioSpec, SpecError, _reject_unknown, scenario_from_dict
+from repro.fleet.spec import ScenarioSpec, SpecError, _reject_unknown, load_toml, scenario_from_dict
 
 _TEMPLATE_TOP_KEYS = (
     "template",

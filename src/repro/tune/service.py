@@ -37,9 +37,8 @@ from pathlib import Path
 from typing import Any
 
 from repro.experiments.cache import ResultCache
-from repro.fleet._toml import load_toml
 from repro.fleet.engine import WorkerPool
-from repro.fleet.spec import SpecError, _int_field, _ms_to_ns, _reject_unknown
+from repro.fleet.spec import SpecError, _int_field, _ms_to_ns, _reject_unknown, load_toml
 from repro.sim.time import MS
 from repro.tune.classes import WORKLOAD_CLASSES
 from repro.tune.evaluate import Evaluator, Objective

@@ -3,12 +3,14 @@
 The determinism tests are the contract the whole fan-out layer rests on:
 ``--jobs 1`` and ``--jobs 4`` must produce identical results, because
 every work unit derives its seed from its index, never from worker
-identity or completion order.  (CI's bench-smoke job runs exactly these
-via ``pytest -k determinism``.)
+identity or completion order.  (Select them with ``pytest -k
+determinism``.)
 """
 
+import functools
 import multiprocessing
 import random
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +19,7 @@ from repro.experiments import REGISTRY
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import RunOutcome, _run_entry, run_experiment, run_many
+from repro.fleet import engine
 
 #: in-process call counter for cache tests (jobs=1 runs in this process)
 CALLS: list[str] = []
@@ -51,6 +54,19 @@ def _register_dummies(monkeypatch):
     CALLS.clear()
 
 
+@pytest.fixture
+def executors(monkeypatch):
+    """Every executor the one pool constructor builds, by ``max_workers``."""
+    started: list[int] = []
+
+    def spy(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", spy)
+    return started
+
+
 class TestDeterminism:
     def test_determinism_dummy_jobs_1_vs_4(self):
         serial = run_experiment("dummy", {"reps": 8}, jobs=1)
@@ -69,6 +85,18 @@ class TestDeterminism:
         serial = run_experiment("fig12", overrides, jobs=1)
         parallel = run_experiment("fig12", overrides, jobs=4)
         assert serial.result.to_jsonable() == parallel.result.to_jsonable()
+
+    def test_determinism_events_jobs_1_vs_2(self):
+        overrides = {"reps": 2, "n_frames": 300}
+        serial = run_experiment("events-vs-periodic", overrides, jobs=1).result
+        parallel = run_experiment("events-vs-periodic", overrides, jobs=2).result
+        assert serial.to_jsonable() == parallel.to_jsonable()
+        # the event trigger's claims over the periodic controller
+        by_mode = {row["mode"]: row for row in serial.rows}
+        periodic, event = by_mode["periodic"], by_mode["event"]
+        assert event["steady_rate"] * 3 <= periodic["steady_rate"]
+        assert event["settling_ms"] <= periodic["settling_ms"]
+        assert event["miss_ratio"] <= periodic["miss_ratio"] + 0.01
 
     def test_seed_derivation_is_index_based(self):
         # dropping reps from 8 to 4 keeps the first 4 units identical
@@ -104,6 +132,16 @@ class TestRunExperiment:
         assert second.cached
         assert first.key == second.key
 
+    def test_shards_on_one_engine_pool(self, executors):
+        run_experiment("dummy", {"reps": 4}, jobs=2)
+        assert executors == [2]
+
+    def test_cache_hit_starts_no_pool(self, tmp_path, executors):
+        cache = ResultCache(tmp_path)
+        run_experiment("dummy", {"reps": 3}, cache=cache)
+        assert run_experiment("dummy", {"reps": 3}, jobs=2, cache=cache).cached
+        assert executors == []
+
 
 class TestRunMany:
     def test_results_in_request_order(self):
@@ -117,15 +155,29 @@ class TestRunMany:
         for s, p in zip(serial, parallel, strict=True):
             assert s.result.to_jsonable() == p.result.to_jsonable()
 
-    def test_parallel_matches_serial_under_spawn(self):
+    def test_parallel_matches_serial_under_spawn(self, monkeypatch):
         """Workers receive the run callable, not a registry name, so even
         dynamically registered experiments survive a ``spawn`` start
         method (where a fresh interpreter never sees the monkeypatched
         ``REGISTRY``)."""
-        ctx = multiprocessing.get_context("spawn")
+        spawn = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", spawn)
         serial = run_many(["dummy"], {"dummy": {"reps": 4}}, jobs=1)
-        parallel = run_many(["dummy"], {"dummy": {"reps": 4}}, jobs=2, mp_context=ctx)
+        parallel = run_many(["dummy"], {"dummy": {"reps": 4}}, jobs=2)
         assert serial[0].result.to_jsonable() == parallel[0].result.to_jsonable()
+
+    def test_shards_on_one_engine_pool(self, executors):
+        run_many(["dummy", "plain"], jobs=2)
+        assert executors == [2]
+
+    def test_cache_hits_start_no_pool(self, tmp_path, executors):
+        cache = ResultCache(tmp_path)
+        run_many(["dummy", "plain"], cache=cache)
+        outs = run_many(["dummy", "plain"], jobs=2, cache=cache)
+        assert all(o.cached for o in outs)
+        assert executors == []
 
     def test_worker_body_never_touches_registry(self, monkeypatch):
         # simulate a spawn worker: the dynamic entry is absent over there
@@ -146,30 +198,3 @@ class TestRunMany:
         outs = run_many(["dummy", "plain"], {"dummy": {"reps": 2}}, cache=cache)
         assert outs[0].cached and not outs[1].cached
         assert CALLS == ["plain"]
-
-
-class TestChunksize:
-    """The ``chunksize`` knob batches pool tasks without changing results."""
-
-    def test_chunked_matches_serial_bit_for_bit(self):
-        serial = run_experiment("dummy", {"reps": 16}, jobs=1)
-        chunked = run_experiment("dummy", {"reps": 16}, jobs=4, chunksize=4)
-        assert serial.result.to_jsonable() == chunked.result.to_jsonable()
-
-    def test_chunksize_values_agree(self):
-        results = [
-            run_experiment("dummy", {"reps": 10}, jobs=2, chunksize=c).result.to_jsonable()
-            for c in (1, 3, 100)
-        ]
-        assert results[0] == results[1] == results[2]
-
-    def test_chunksize_never_enters_the_cache_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        first = run_experiment("dummy", {"reps": 4}, jobs=2, chunksize=1, cache=cache)
-        second = run_experiment("dummy", {"reps": 4}, jobs=2, chunksize=8, cache=cache)
-        assert second.cached
-        assert first.key == second.key
-
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError):
-            run_experiment("dummy", {"reps": 2}, jobs=2, chunksize=0)

@@ -8,10 +8,15 @@ are folded strictly in fleet order regardless of completion order.
 import io
 import itertools
 import json
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.fleet import (
+    engine,
     expand_template,
     parse_template,
     run_fleet,
@@ -138,9 +143,72 @@ def test_small_batch_spans_one_chunk_per_worker():
     assert [s.args["sims"] for s in telemetry.spans if s.cat == "fleet"] == [7, 7]
 
 
-def test_pool_forks_on_first_use_and_reaps_on_close():
-    import multiprocessing
+def _finish_time(i: int) -> tuple[int, float]:
+    # the first unit outlasts all the others, so another worker finishes them first
+    time.sleep(0.3 if i == 0 else 0.0)
+    return i, time.monotonic()
 
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_map_returns_input_order_when_units_finish_out_of_order(jobs):
+    n = 6
+    with WorkerPool(jobs) as pool:
+        results = list(pool.map(_finish_time, range(n)))
+    assert [i for i, _ in results] == list(range(n))
+    finished = [t for _, t in results]
+    assert finished != sorted(finished)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_map_reads_a_lazy_input_two_tasks_per_worker_ahead(jobs):
+    pulled = []
+
+    def stream():
+        for i in range(20):
+            pulled.append(i)
+            yield i
+
+    with WorkerPool(jobs) as pool:
+        results = pool.map(abs, stream())
+        assert not pulled  # nothing is read before the first result is asked for
+        assert next(results) == 0
+        assert len(pulled) == 2 * jobs
+        assert list(results) == list(range(1, 20))
+
+
+def test_map_submits_a_list_whole_before_the_first_result(monkeypatch):
+    submitted = []
+
+    class SubmitSpy(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SubmitSpy)
+    with WorkerPool(2) as pool:
+        results = pool.map(abs, list(range(10)))
+        assert next(results) == 0
+        assert len(submitted) == 10
+        assert list(results) == list(range(1, 10))
+
+
+def _pid(_: object) -> int:
+    return os.getpid()
+
+
+def test_map_at_jobs_1_runs_in_process_and_forks_nothing(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("jobs=1 constructed an executor")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    with WorkerPool(1) as pool:
+        assert type(pool.map(_pid, range(3))) is map
+        assert list(pool.map(_pid, range(3))) == [os.getpid()] * 3
+        assert run_fleet(itertools.islice(_specs(), 3), pool=pool).sims == 3
+    assert not multiprocessing.active_children()
+
+
+def test_pool_forks_on_first_use_and_reaps_on_close():
     with WorkerPool(2) as pool:
         assert run_fleet([], pool=pool).sims == 0
         assert not multiprocessing.active_children()
@@ -295,6 +363,36 @@ budget_ms = 1.5
 server_period_ms = 10.0
 """
 
+#: the controller woken by exhaustion bursts instead of a fixed period
+EVENT_TRIGGER = """
+[scenario]
+name = "event-trigger"
+seed = 31
+horizon_ms = 3000.0
+miss_threshold_ms = 10.0
+
+[controller]
+law = "lfspp"
+trigger = "event"
+burst_threshold = 2
+burst_window_ms = 200.0
+refractory_ms = 40.0
+fallback_floor_ms = 300.0
+
+[[workload]]
+kind = "mplayer"
+name = "audio"
+adaptive = true
+
+[[workload]]
+kind = "periodic"
+name = "p10"
+period_ms = 10.0
+cost_ms = 2.0
+budget_ms = 3.0
+server_period_ms = 10.0
+"""
+
 
 class TestAdaptiveBuild:
     def test_adaptive_run_is_repeatable(self):
@@ -325,6 +423,9 @@ class TestAdaptiveBuild:
             scenario_from_toml(ADAPTIVE.replace('seed = 21', f'seed = {s}'))
             for s in (1, 2, 3, 4)
         ]
+        event = scenario_from_toml(EVENT_TRIGGER)
+        assert event.controller.trigger == "event"
+        specs += [event, event]
         serial = run_fleet(specs, jobs=1)
         parallel = run_fleet(specs, jobs=2)
         assert serial.digest() == parallel.digest()

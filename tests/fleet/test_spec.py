@@ -8,8 +8,9 @@ alternatives).
 
 import pytest
 
-from repro.fleet import ScenarioSpec, scenario_from_dict, scenario_from_toml
+from repro.fleet import ScenarioSpec, parse_template, scenario_from_dict, scenario_from_toml
 from repro.fleet.spec import SpecError
+from repro.tune import tune_spec_from_toml
 
 SCENARIO = """
 [scenario]
@@ -87,6 +88,11 @@ def test_defaults_are_minimal():
 
 
 class TestActionableErrors:
+    @pytest.mark.parametrize("parse", [scenario_from_toml, parse_template, tune_spec_from_toml])
+    def test_malformed_toml_is_a_spec_error(self, parse):
+        with pytest.raises(SpecError, match="malformed TOML"):
+            parse("[scenario\nname = 1")
+
     def test_unknown_scenario_key(self):
         with pytest.raises(SpecError) as exc:
             scenario_from_dict(

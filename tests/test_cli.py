@@ -1,10 +1,13 @@
 """Tests for the command-line experiment runner."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _parse_overrides, main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +90,38 @@ class TestCommands:
         assert cache_dir.is_dir()
         assert main(args) == 0
         assert "served from cache" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "fig01", "--jobs", "-2"],
+        ["run", "fig01", "--jobs", "two"],
+        ["all", "--jobs", "0"],
+        ["bench", "fig01", "--jobs", "0"],
+        ["fleet", "run", "spec.toml", "--jobs", "0"],
+        ["fleet", "run", "spec.toml", "--chunksize", "0"],
+        ["tune", "spec.toml", "--jobs", "0"],
+    ],
+)
+def test_pool_width_and_chunk_size_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2  # an argparse usage error, before any work
+    assert ">= 1" in capsys.readouterr().err
+
+
+class TestSimulate:
+    def test_fast_forward_matches_full_stepping(self, capsys):
+        args = ["simulate", "periodic-edf", "--duration", "1.0", "--json"]
+        assert main([*args, "--fast-forward"]) == 0
+        ff = json.loads(capsys.readouterr().out)
+        assert main([*args, "--no-fast-forward"]) == 0
+        full = json.loads(capsys.readouterr().out)
+        assert ff["fast_forward"]["detected"]
+        assert ff["fast_forward"]["cycles_skipped"] > 0
+        assert full["fast_forward"] is None
+        assert ff["digest"] == full["digest"]
 
 
 class TestBench:
@@ -211,6 +246,13 @@ cost_ms = 1.0
         assert out.count("mini/g") == 6
         assert "[6 sims]" in out
 
+    def test_bundled_cdn_template_declares_1200_sims(self, capsys):
+        spec = str(EXAMPLES / "fleet" / "streaming-cdn.toml")
+        assert main(["fleet", "expand", spec]) == 0
+        assert capsys.readouterr().out.endswith("[1200 sims]\n")
+        assert main(["fleet", "expand", spec, "--limit", "3"]) == 0
+        assert capsys.readouterr().out.count("\n") == 4  # three names and the count
+
     def test_expand_limit_and_json(self, tmp_path, capsys):
         spec = tmp_path / "t.toml"
         spec.write_text(self.TEMPLATE)
@@ -239,12 +281,16 @@ cost_ms = 1.0
     def test_run_jobs_matches_serial_digest(self, tmp_path, capsys):
         spec = tmp_path / "t.toml"
         spec.write_text(self.TEMPLATE)
-        digests = []
+        digests, streams = [], []
         for jobs in ("1", "2"):
+            stream = tmp_path / f"jobs{jobs}.jsonl"
             assert main(["fleet", "run", str(spec), "--jobs", jobs, "--chunksize", "2",
-                         "--json"]) == 0
+                         "--stream", str(stream), "--json"]) == 0
             digests.append(json.loads(capsys.readouterr().out)["digest"])
+            streams.append(stream.read_bytes())
         assert digests[0] == digests[1]
+        assert streams[0] == streams[1]
+        assert streams[0].count(b"\n") == 6
 
     def test_missing_file_and_bad_spec(self, tmp_path):
         with pytest.raises(SystemExit, match="cannot read"):
@@ -288,6 +334,10 @@ knob = "spread"
         assert payload["name"] == "clitest"
         cls = payload["classes"]["periodic-mix"]
         assert cls["best_score"] <= cls["default_score"]
+        assert cls["evaluations"] >= payload["budget"]
+        best = [t["best_score"] for t in cls["trace"]]
+        assert all(b <= a for a, b in zip(best, best[1:]))  # the incumbent never worsens
+        assert {s["name"] for s in cls["sensitivity"]} == {"spread"}
         stdout = capsys.readouterr().out
         assert "periodic-mix" in stdout
         assert "evaluations" in stdout
@@ -303,7 +353,8 @@ knob = "spread"
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["tune", str(spec), "--output", str(a)]) == 0
         cold_out = capsys.readouterr().out
-        assert main(["tune", str(spec), "--output", str(b)]) == 0
+        # the warm leg on a pool: every candidate still comes from the cache
+        assert main(["tune", str(spec), "--output", str(b), "--jobs", "2"]) == 0
         warm_out = capsys.readouterr().out
         assert a.read_bytes() == b.read_bytes()
         assert ", 0 sims" not in cold_out
