@@ -9,8 +9,10 @@ paper's LFS++ sensor reads) and of wake-up→dispatch latency.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Generator, Sequence
+from itertools import cycle, islice
 
 from repro.sim.instructions import BlockSpec, Instruction, Syscall
 
@@ -66,6 +68,31 @@ class Segment:
         )
 
 
+@functools.lru_cache(maxsize=1024)
+def _replay(
+    n: int, mean_hex: str, m2_hex: str, samples: tuple[int, ...], times: int
+) -> tuple[float, float]:
+    """Welford mean and M2 after ``samples`` arrive ``times`` over, from
+    ``n`` samples whose mean and M2 have the exact bits ``mean_hex`` and
+    ``m2_hex`` (:meth:`float.hex`).
+
+    A pure function of its arguments, so the cache returns the floats
+    the loop would compute, bit for bit.  Keying on the bits, not the
+    floats, keeps ``0.0`` and ``-0.0`` apart.  The loop runs on samples
+    converted to float once (the conversion ``latency - mean`` would make
+    at every step) and a float running count, which ``delta / n`` would
+    otherwise convert at every step (exact below 2**53).
+    """
+    values = [float(latency) for latency in samples]
+    count, mean, m2 = float(n), float.fromhex(mean_hex), float.fromhex(m2_hex)
+    for latency in islice(cycle(values), times * len(values)):
+        count += 1.0
+        delta = latency - mean
+        mean += delta / count
+        m2 += delta * (latency - mean)
+    return mean, m2
+
+
 class LatencyStats:
     """Wake-up→dispatch latency accumulator (ns)."""
 
@@ -92,27 +119,20 @@ class LatencyStats:
         rounds of :meth:`add` (fast-forward's replay of skipped cycles).
 
         ``total``, ``max`` and ``n`` are closed-form.  The Welford floats
-        round differently at every step, so they advance in one loop over
-        locals, on samples converted to float once up front (the
-        conversion ``latency - mean`` would make at every step), and
-        with the running count kept as a float, which ``delta / n``
-        would otherwise convert at every step (exact below 2**53).
-        Subclasses that extend :meth:`add` extend this too.
+        round differently at every step, so they come from
+        :func:`_replay`, which runs each distinct replay once per
+        process: nodes of one fleet cell that settle into the same cycle
+        from the same transient share it.  Subclasses that extend
+        :meth:`add` extend this too.
         """
         if not samples or times <= 0:
             return
         self.total += times * sum(samples)
         self.max = max(self.max, max(samples))
-        values = [float(latency) for latency in samples]
-        count, mean, m2 = float(self.n), self._mean, self._m2
-        for _ in range(times):
-            for latency in values:
-                count += 1.0
-                delta = latency - mean
-                mean += delta / count
-                m2 += delta * (latency - mean)
-        self.n += times * len(values)
-        self._mean, self._m2 = mean, m2
+        self._mean, self._m2 = _replay(
+            self.n, self._mean.hex(), self._m2.hex(), tuple(samples), times
+        )
+        self.n += times * len(samples)
 
     @property
     def mean(self) -> float:

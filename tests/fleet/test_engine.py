@@ -24,6 +24,7 @@ from repro.fleet import (
     scenario_from_toml,
 )
 from repro.fleet.engine import WorkerPool, _chunked
+from repro.sim.process import _replay
 
 TEMPLATE = """
 [template]
@@ -267,12 +268,54 @@ def _without_ff_fields(doc):
     return doc
 
 
+#: periodic tasks without cost jitter under EDF, on nodes that differ only
+#: by phase: some settle into the same cycle from the same transient and
+#: share a Welford replay, and some do not
+EDF_PERIODIC = """
+[template]
+name = "ff-edf"
+nodes = 16
+seed = 70
+
+[scenario]
+horizon_ms = 800.0
+miss_threshold_ms = 10.0
+
+[scheduler]
+kind = "edf"
+
+[[workload]]
+kind = "periodic"
+name = "p8"
+count = 2
+period_ms = 8.0
+cost_ms = 1.0
+
+[[workload]]
+kind = "periodic"
+name = "p16"
+count = 2
+period_ms = 16.0
+cost_ms = 3.0
+
+[jitter]
+"workload.p8.phase_ms" = 4.0
+"workload.p16.phase_ms" = 8.0
+"""
+
+
 def test_fast_forward_equals_full_stepping():
-    ff = run_fleet(_specs(), fast_forward=True)
-    full = run_fleet(_specs(), fast_forward=False)
-    assert ff.ff_detected == ff.sims  # purely periodic: every sim skips
-    assert full.ff_detected == 0
-    assert _without_ff_fields(ff.to_jsonable()) == _without_ff_fields(full.to_jsonable())
+    for template in (TEMPLATE, EDF_PERIODIC):
+        _replay.cache_clear()
+        ff = run_fleet(_specs(template), fast_forward=True)
+        replays = _replay.cache_info()
+        full = run_fleet(_specs(template), fast_forward=False)
+        assert ff.ff_detected == ff.sims  # purely periodic: every sim skips
+        assert full.ff_detected == 0
+        # skipped cycles were both served from the replay cache and computed
+        assert replays.hits >= 1
+        assert replays.misses >= 1
+        assert _without_ff_fields(ff.to_jsonable()) == _without_ff_fields(full.to_jsonable())
 
 
 def test_fast_forward_equals_full_stepping_with_misses(monkeypatch):

@@ -7,7 +7,8 @@ identical to full stepping — for every task set, whether or not a cycle
 was detected.  A second property pins the negative space: aperiodic
 desktop interference must always disable the fast path.  A third pins
 the replay primitive underneath: ``add_cycles(samples, K)`` on a latency
-accumulator is bit-for-bit ``K`` rounds of ``add()``.
+accumulator is bit-for-bit ``K`` rounds of ``add()``, whether its Welford
+replay is computed or served from the per-process replay cache.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.sched import (
 )
 from repro.sim import Kernel, MS, SEC
 from repro.sim.cycles import run_fast_forward
-from repro.sim.process import LatencyStats
+from repro.sim.process import LatencyStats, _replay
 from repro.workloads import PeriodicTaskConfig, periodic_task
 
 #: commensurate period menu: any subset folds to a 32 ms hyperperiod
@@ -175,9 +176,58 @@ class TestAddCyclesEqualsRepeatedAdds:
                 stats.add(latency)
             return stats
 
-        stepped, replayed = fresh(), fresh()
+        stepped, missed, hit = fresh(), fresh(), fresh()
         for _ in range(times):
             for latency in samples:
                 stepped.add(latency)
-        replayed.add_cycles(samples, times)
-        assert _accumulator_state(replayed) == _accumulator_state(stepped)
+        _replay.cache_clear()
+        missed.add_cycles(samples, times)  # computes the replay
+        hit.add_cycles(samples, times)  # the same inputs: served from the cache
+        if samples and times > 0:
+            info = _replay.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+        assert _accumulator_state(missed) == _accumulator_state(stepped)
+        assert _accumulator_state(hit) == _accumulator_state(stepped)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prior=st.lists(st.integers(0, 50_000), min_size=1, max_size=8),
+        samples=st.lists(st.integers(0, 50_000), min_size=1, max_size=6),
+        times=st.integers(1, 40),
+    )
+    def test_a_hit_needs_every_input_equal(self, prior, samples, times):
+        """A replay from a state or cycle that differs from a cached one in
+        a single input must not be served the cached floats."""
+        base = LatencyStats()
+        for latency in prior:
+            base.add(latency)
+        n, mean, m2 = base.n, base._mean, base._m2
+        changed = [*samples[:-1], samples[-1] + 1]
+        variants = [
+            (n, mean, m2, samples, times),  # warms the cache
+            (n + 1, mean, m2, samples, times),
+            (n, mean + 1.0, m2, samples, times),
+            (n, mean, m2 + 1.0, samples, times),
+            (n, mean, m2, changed, times),
+            (n, mean, m2, samples, times + 1),
+        ]
+        _replay.cache_clear()
+        for n_, mean_, m2_, samples_, times_ in variants:
+            stepped, replayed = LatencyStats(), LatencyStats()
+            for stats in (stepped, replayed):
+                stats.n, stats._mean, stats._m2 = n_, mean_, m2_
+            for _ in range(times_):
+                for latency in samples_:
+                    stepped.add(latency)
+            replayed.add_cycles(samples_, times_)
+            assert _accumulator_state(replayed) == _accumulator_state(stepped)
+        assert _replay.cache_info().misses == len(variants)
+
+    def test_the_replay_cache_is_bounded(self):
+        _replay.cache_clear()
+        maxsize = _replay.cache_info().maxsize
+        for latency in range(maxsize + 5):
+            LatencyStats().add_cycles([latency], 1)
+        info = _replay.cache_info()
+        assert info.misses == maxsize + 5
+        assert info.currsize == maxsize
