@@ -8,12 +8,10 @@ alternative) on the common Figure 13 playback scenario.
 
 import pytest
 
-from repro.experiments import ablations
 
-
-def test_predictor_choice(run_once):
+def test_predictor_choice(cached_run):
     """Order-statistic predictors beat averaging ones on peaky workloads."""
-    result = run_once(ablations.run_predictors, n_frames=1000)
+    result = cached_run("abl-predictors", n_frames=1000)
     rows = {r["predictor"]: r for r in result.rows}
     quantile = rows["quantile(0.9375)"]
     avg = rows["moving_average"]
@@ -29,9 +27,9 @@ def test_predictor_choice(run_once):
     assert rows["max"]["mean_bandwidth"] >= quantile["mean_bandwidth"] - 0.01
 
 
-def test_spread_factor(run_once):
+def test_spread_factor(cached_run):
     """x trades bandwidth for robustness, monotonically."""
-    result = run_once(ablations.run_spread, values=(0.0, 0.1, 0.2), n_frames=1000)
+    result = cached_run("abl-spread", values=(0.0, 0.1, 0.2), n_frames=1000)
     by_x = {r["spread"]: r for r in result.rows}
 
     assert by_x[0.2]["mean_bandwidth"] > by_x[0.0]["mean_bandwidth"]
@@ -39,9 +37,9 @@ def test_spread_factor(run_once):
     assert by_x[0.2]["frames_over_80ms"] <= by_x[0.0]["frames_over_80ms"]
 
 
-def test_sampling_period(run_once):
+def test_sampling_period(cached_run):
     """S = P carries full job-to-job variance; huge S reacts too slowly."""
-    result = run_once(ablations.run_sampling_period, values_ms=(40, 100, 400), n_frames=1000)
+    result = cached_run("abl-sampling", values_ms=(40, 100, 400), n_frames=1000)
     rows = {r["sampling_ms"]: r for r in result.rows}
 
     # the requested bandwidth is most stable at a small multiple of the
@@ -55,9 +53,9 @@ def test_sampling_period(run_once):
     assert rows[400]["frames_over_80ms"] >= rows[100]["frames_over_80ms"]
 
 
-def test_exhaustion_policy(run_once):
+def test_exhaustion_policy(cached_run):
     """Work-conserving policies absorb budget under-runs; hard pays for them."""
-    result = run_once(ablations.run_exhaustion_policy, n_frames=1000)
+    result = cached_run("abl-policy", n_frames=1000)
     rows = {r["policy"]: r for r in result.rows}
 
     assert rows["soft"]["ift_std_ms"] < rows["hard"]["ift_std_ms"]
@@ -68,9 +66,9 @@ def test_exhaustion_policy(run_once):
         assert r["ift_mean_ms"] == pytest.approx(40.0, abs=1.0)
 
 
-def test_exhaustion_boost(run_once):
+def test_exhaustion_boost(cached_run):
     """The remark-1 boost trades a little bandwidth for less dispersion."""
-    result = run_once(ablations.run_exhaustion_boost, n_frames=1000)
+    result = cached_run("abl-boost", n_frames=1000)
     rows = {r["boost"]: r for r in result.rows}
 
     assert rows["on"]["boosts_tripped"] > 0
@@ -79,10 +77,10 @@ def test_exhaustion_boost(run_once):
     assert rows["on"]["mean_bandwidth"] >= rows["off"]["mean_bandwidth"] - 0.01
 
 
-def test_smp_partitioning(run_once):
+def test_smp_partitioning(cached_run):
     """Four adaptive players overload one CPU but fit on two — whether
     partitioned with worst-fit placement or globally scheduled (§6)."""
-    result = run_once(ablations.run_smp, n_players=4, n_frames=300)
+    result = cached_run("abl-smp", n_players=4, n_frames=300)
     rows = {r["configuration"]: r for r in result.rows}
 
     # one CPU: the supervisor compresses to its bound and quality breaks
@@ -102,10 +100,10 @@ def test_smp_partitioning(run_once):
     assert glob["granted_bandwidth_per_cpu"][0] <= 2 * 0.95 + 1e-6
 
 
-def test_detector_comparison(run_once):
+def test_detector_comparison(cached_run):
     """The spectrum detector degrades more gracefully under load than the
     time-domain (interval-histogram) alternative, at higher compute cost."""
-    result = run_once(ablations.run_detector_comparison, reps=12)
+    result = cached_run("abl-detector", reps=12)
     rows = {r["condition"]: r for r in result.rows}
 
     idle, loaded = rows["idle"], rows["60% RT load"]
@@ -118,9 +116,9 @@ def test_detector_comparison(run_once):
     assert idle["interval_ms"] < idle["spectrum_ms"]
 
 
-def test_rate_change_tracking(run_once):
+def test_rate_change_tracking(cached_run):
     """The loop re-converges after a mid-run 25→50 fps switch (§1)."""
-    result = run_once(ablations.run_rate_change, n_frames_per_phase=300)
+    result = cached_run("abl-rate-change", n_frames_per_phase=300)
     rows = {r["phase"]: r for r in result.rows}
 
     assert rows["25fps"]["period_detected_ms"] == pytest.approx(40.0, rel=0.05)
@@ -131,10 +129,10 @@ def test_rate_change_tracking(run_once):
     assert any("confirmed" in n for n in result.notes)
 
 
-def test_tracer_input(run_once):
+def test_tracer_input(cached_run):
     """Wake-up tracing: cheap and exact for one-wake-per-job tasks, but it
     reports the wake rate (a multiple of the job rate) for multi-wake apps."""
-    result = run_once(ablations.run_tracer_input, reps=10)
+    result = cached_run("abl-tracer-input", reps=10)
     rows = {(r["workload"], r["source"]): r for r in result.rows}
 
     clean_sys = rows[("periodic-25Hz", "syscalls")]

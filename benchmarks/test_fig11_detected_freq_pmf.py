@@ -9,11 +9,9 @@ Shape claims verified:
 
 import pytest
 
-from repro.experiments import fig11
 
-
-def test_fig11_pmf_tightens_with_tracing_time(run_once):
-    result = run_once(fig11.run, reps=60)
+def test_fig11_pmf_tightens_with_tracing_time(cached_run):
+    result = cached_run("fig11", reps=60)
     rows = {r["tracing_s"]: r for r in result.rows}
 
     short, long_ = rows[0.2], rows[2.0]

@@ -7,11 +7,9 @@ Shape claims verified (paper: QTRACE 0.63%, QOSTRACE 2.69%, STRACE 5.51%):
   strace roughly 2x qostrace.
 """
 
-from repro.experiments import tab01
 
-
-def test_tab01_tracer_overhead_ordering(run_once):
-    result = run_once(tab01.run, reps=10)
+def test_tab01_tracer_overhead_ordering(cached_run):
+    result = cached_run("tab01", reps=10)
     rows = {r["tracer"]: r for r in result.rows}
 
     overhead = {k: rows[k]["relative_overhead"] for k in ("QTRACE", "QOSTRACE", "STRACE")}

@@ -50,7 +50,20 @@ from repro.sched.base import Scheduler
 
 
 class TracerHook(Protocol):
-    """Interface tracers implement to observe (and perturb) system calls."""
+    """Interface tracers implement to observe (and perturb) system calls.
+
+    ``traces`` is pure, and its answer for a process changes only through
+    calls that notify every kernel the tracer is bound to with
+    :meth:`Kernel.tracing_changed`.  :meth:`Kernel.run` asks it once per
+    pick and completes and fetches the syscalls of a process no tracer
+    traces inline; the notification ends that chain, so the next syscall
+    asks the tracers again.
+    """
+
+    def bind(self, kernel: Kernel) -> None:
+        """Learn a kernel this tracer is attached to (called by
+        :meth:`Kernel.add_tracer`)."""
+        ...
 
     def on_syscall_entry(self, proc: Process, nr: SyscallNr, now: int) -> int:
         """Record a syscall entry; return extra kernel ns the tracing costs."""
@@ -145,8 +158,7 @@ class Kernel:
         #: must not touch kernel or scheduler state.
         self.latency_hook: Callable[[Process, int, int], None] | None = None
         #: exact-class instruction dispatch (hot path of ``_fetch_next``);
-        #: instruction subclasses are resolved lazily via the isinstance
-        #: ladder in ``_resolve_instr`` and then cached here
+        #: an object of any other class is a ``TypeError``
         self._instr_dispatch: dict[type, Callable[[Process, Instruction, int], None]] = {
             Compute: self._do_compute,
             Syscall: self._do_syscall,
@@ -159,8 +171,8 @@ class Kernel:
         self._stop_run = False
         #: raised on every kernel path into scheduler state (admission,
         #: wake-up, block, exit, Label probes, a switch cost charged to
-        #: the budget); ends ``run``'s current chain so the next segment
-        #: starts with a fresh pick
+        #: the budget) and on every traced-set change; ends ``run``'s
+        #: current chain so the next segment starts with a fresh pick
         self._resched = False
 
     # ------------------------------------------------------------------
@@ -218,6 +230,13 @@ class Kernel:
     def add_tracer(self, tracer: TracerHook) -> None:
         """Install a syscall tracer hook."""
         self.tracers.append(tracer)
+        tracer.bind(self)
+        self.tracing_changed()
+
+    def tracing_changed(self) -> None:
+        """A tracer's traced set changed: end ``run``'s current chain, so
+        the running process's next syscall asks the tracers again."""
+        self._resched = True
 
     def remove_tracer(self, tracer: TracerHook) -> None:
         """Detach a previously installed tracer hook."""
@@ -339,20 +358,6 @@ class Kernel:
             for probe in probes:
                 probe(proc, now, instr.payload)
 
-    def _resolve_instr(self, proc: Process, instr: Instruction) -> None:
-        """Slow path of the instruction dispatch: accept subclasses of the
-        known instructions (cached per concrete class afterwards)."""
-        for cls, handler in (
-            (Compute, self._do_compute),
-            (Syscall, self._do_syscall),
-            (Fire, self._do_fire),
-            (Label, self._do_label),
-        ):
-            if isinstance(instr, cls):
-                self._instr_dispatch[instr.__class__] = handler
-                return handler
-        raise TypeError(f"program of {proc.name} yielded {instr!r}")
-
     def _fetch_next(self, proc: Process, instr: Instruction | None = None) -> None:
         """Pull instructions from the program until one produces a CPU
         segment (zero-time instructions are executed inline).  ``instr``
@@ -379,7 +384,7 @@ class Kernel:
                     return
             handler = dispatch.get(instr.__class__)
             if handler is None:
-                handler = self._resolve_instr(proc, instr)
+                raise TypeError(f"program of {proc.name} yielded {instr!r}")
             handler(proc, instr, clock)
             instr = None
 
@@ -477,8 +482,8 @@ class Kernel:
         - the bound, the next calendar event or ``until`` is reached;
         - ``_resched`` is raised: admission, wake-up (which covers
           ``Fire`` and direct :meth:`fire_event` calls), block, exit, a
-          Label probe about to run, or a switch cost charged to the
-          budget after the pick;
+          Label probe about to run, a switch cost charged to the budget
+          after the pick, or a traced-set change;
         - the calendar gained or lost an event since the peek (its push
           and live counters moved): a push may fall before the cached
           time, and a cancel may remove the event the chain would stop
@@ -486,12 +491,15 @@ class Kernel:
         - or the pick came with no bound (``None``: FP, EDF, a lone
           process under RR or stride), as stride's ``pick`` writes state.
 
-        Completing a plain ``Compute`` segment or an untraced,
-        non-blocking ``Syscall``, and fetching the next exact-class
-        ``Compute``/untraced ``Syscall``, happen inline.  Everything else
-        (blocking calls, ``SYSCALL_RETURN``, tracers, ``Fire``, ``Label``,
-        subclasses, program exit) goes through ``_complete_segment`` and
-        ``_fetch_next``, the helpers the multicore kernel also uses.
+        Completing a ``Compute`` segment or a non-blocking ``Syscall``,
+        and fetching the next ``Compute`` or ``Syscall``, happen inline
+        while no attached tracer traces the process.  Each pick asks every
+        tracer's ``traces`` once; a traced-set change raises ``_resched``
+        (see :class:`TracerHook`), and no syscall goes inline while it is
+        up.  Everything else (blocking calls, ``SYSCALL_RETURN``, traced
+        processes, ``Fire``, ``Label``, program exit) goes through
+        ``_complete_segment`` and ``_fetch_next``, the helpers the
+        multicore kernel also uses.
 
         This is the hottest loop of the simulator; scheduler/calendar
         methods and config fields are cached in locals, and the due-event
@@ -611,6 +619,14 @@ class Kernel:
                     limit = nxt
                 if until < limit:
                     limit = until
+            # whether the chain may complete and fetch syscalls inline:
+            # asked once per pick, kept valid by ``_resched``; a kernel
+            # with no tracer decides on the live ``not tracers`` alone
+            untraced = True
+            if tracers:
+                for tracer in tracers:
+                    if tracer.traces(proc):
+                        untraced = False
             pushes = events._seq
             live = events._live
             while True:
@@ -624,7 +640,11 @@ class Kernel:
                 if segment is None or segment.remaining:
                     break
                 kind = segment.kind
-                if kind is user or (kind is in_kernel and segment.block is None and not tracers):
+                if kind is user or (
+                    kind is in_kernel
+                    and segment.block is None
+                    and (not tracers or (untraced and not self._resched))
+                ):
                     # inline ``_complete_segment``/``_finish_syscall``/
                     # ``_fetch_next`` for the common case
                     if kind is in_kernel:
@@ -643,7 +663,9 @@ class Kernel:
                             if instr.duration > 0:
                                 proc.segment = segment = Segment(user, instr.duration)
                                 break
-                        elif type(instr) is Syscall and not tracers:
+                        elif type(instr) is Syscall and (
+                            not tracers or (untraced and not self._resched)
+                        ):
                             cost = instr.cost
                             proc.segment = segment = Segment(
                                 in_kernel, cost if cost > 1 else 1, instr, instr.block, clock

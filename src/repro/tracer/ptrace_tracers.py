@@ -22,11 +22,15 @@ tools); the *ordering* and the rough magnitudes in Table 1 follow from the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.sim.process import Process
 from repro.sim.syscalls import SyscallNr
 from repro.sim.time import US
 from repro.tracer.events import EventKind, TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import Kernel
 
 
 @dataclass
@@ -44,10 +48,17 @@ class PtraceTracer:
     #: recorded events (ptrace tools see the stream directly, no ring buffer)
     events: list[TraceEvent] = field(default_factory=list)
     record: bool = True
+    #: kernels this tracer is attached to, told of traced-set changes
+    _kernels: list[Kernel] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def trace_pid(self, pid: int) -> None:
         """Start tracing process ``pid``."""
         self.pids.add(pid)
+        for kernel in self._kernels:
+            kernel.tracing_changed()
+
+    def bind(self, kernel: Kernel) -> None:
+        self._kernels.append(kernel)
 
     def traces(self, proc: Process) -> bool:
         return proc.pid in self.pids

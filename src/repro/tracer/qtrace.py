@@ -90,6 +90,8 @@ class QTracer:
         #: events lost to overwrite since the previous download
         self.last_overrun = 0
         self._overruns_seen = 0
+        #: kernels this tracer is attached to, told of traced-set changes
+        self._kernels: list[Kernel] = []
 
     # ------------------------------------------------------------------
     # configuration (what the real patch accepts through the chardev)
@@ -97,10 +99,14 @@ class QTracer:
     def trace_pid(self, pid: int) -> None:
         """Start tracing process ``pid``."""
         self._pids.add(pid)
+        for kernel in self._kernels:
+            kernel.tracing_changed()
 
     def untrace_pid(self, pid: int) -> None:
         """Stop tracing process ``pid``."""
         self._pids.discard(pid)
+        for kernel in self._kernels:
+            kernel.tracing_changed()
 
     def set_syscall_filter(self, calls: Iterable[SyscallNr] | None) -> None:
         """Restrict logging to ``calls`` (``None`` restores trace-everything)."""
@@ -113,6 +119,9 @@ class QTracer:
     # ------------------------------------------------------------------
     # TracerHook protocol (called by the kernel)
     # ------------------------------------------------------------------
+    def bind(self, kernel: Kernel) -> None:
+        self._kernels.append(kernel)
+
     def traces(self, proc: Process) -> bool:
         return proc.pid in self._pids
 

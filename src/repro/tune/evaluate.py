@@ -1,19 +1,21 @@
 """Candidate evaluation: map configurations onto fleet runs, with caching.
 
-One candidate = one concrete scenario (the workload class instantiated
-with the candidate's controller parameters) = one simulation.  The
-evaluator batches every cache-missing candidate of a generation into a
-**single** :func:`~repro.fleet.engine.run_fleet` call and reads each
-candidate's metrics back from its per-group sub-aggregate, which folds
-exactly one sim and is therefore independent of worker scheduling.
+One candidate = a workload class and a configuration = one concrete
+scenario (the class instantiated with the candidate's controller
+parameters) = one simulation.  The evaluator batches every
+cache-missing candidate of a generation, whatever classes it mixes,
+into a **single** :func:`~repro.fleet.engine.run_fleet` call and reads
+each candidate's metrics back from its per-group sub-aggregate, which
+folds exactly one sim and is therefore independent of worker
+scheduling.
 
 Every batch runs on the :class:`~repro.fleet.engine.WorkerPool` the
-evaluator is given (serially in-process without one).  The search hands
-over many small, strictly sequential batches — a global phase, then one
-short batch per axis of the descent — so the caller holds one pool
-across all of them: its workers fork on the first miss and stay warm,
-and a batch smaller than ``jobs × chunksize`` is split evenly across
-them.
+evaluator is given (serially in-process without one).  A tune run hands
+over one batch per generation — the paper defaults, then each step of
+the global phase and of the descent, for every class at once — so the
+caller holds one pool across all of them: its workers fork on the first
+miss and stay warm, and a batch smaller than ``jobs × chunksize`` is
+split evenly across them.
 
 Every scored candidate is stored in the
 :class:`~repro.experiments.cache.ResultCache` under a canonical,
@@ -81,20 +83,22 @@ class Objective:
         }
 
 
-class Evaluator:
-    """Batched, cached scorer for one workload class.
+#: one candidate: a configuration to score on a workload class
+Candidate = tuple[WorkloadClass, dict[str, Any]]
 
-    The callable interface (:meth:`evaluate_batch`) is what
-    :func:`repro.tune.search.run_search` expects.  Cache misses run on
+
+class Evaluator:
+    """Batched, cached scorer of candidates.
+
+    :meth:`evaluate_batch` scores one generation.  Cache misses run on
     ``pool``, or serially in-process without one.  Instances keep three
-    counters the CLI reports: ``evaluations`` (configs scored),
+    counters the CLI reports: ``evaluations`` (candidates scored),
     ``cache_hits`` (served from disk or the in-run memo) and
     ``sims_run`` (simulations actually executed).
     """
 
     def __init__(
         self,
-        workload_class: WorkloadClass,
         objective: Objective,
         *,
         seed: int,
@@ -102,61 +106,72 @@ class Evaluator:
         cache: ResultCache | None = None,
         pool: WorkerPool | None = None,
     ) -> None:
-        self.workload_class = workload_class
         self.objective = objective
         self.seed = seed
         self.horizon_ns = horizon_ns
         self.cache = cache
         self.pool = pool
+        #: the code digest every disk key carries, read once
+        self._digest = package_digest() if cache is not None else ""
         self.evaluations = 0
         self.cache_hits = 0
         self.sims_run = 0
-        #: canonical config -> metrics, for repeats within one run
+        #: simulations run per class name; numbers the fleet groups
+        self._class_sims: dict[str, int] = {}
+        #: canonical (class, config) -> metrics, for repeats within one run
         self._memo: dict[str, dict[str, float]] = {}
 
     # -- keys ---------------------------------------------------------
 
-    def _kwargs(self, config: dict[str, Any]) -> dict[str, Any]:
+    def _kwargs(self, workload_class: WorkloadClass, config: dict[str, Any]) -> dict[str, Any]:
         """The full provenance of one evaluation (the cache-key payload)."""
         return {
-            "class": self.workload_class.name,
+            "class": workload_class.name,
             "seed": self.seed,
             "horizon_ns": self.horizon_ns,
             "objective": self.objective.to_jsonable(),
             "config": dict(config),
         }
 
-    def _disk_key(self, config: dict[str, Any]) -> str | None:
+    def _disk_key(self, workload_class: WorkloadClass, config: dict[str, Any]) -> str | None:
         if self.cache is None:
             return None
-        return self.cache.key(CACHE_EXPERIMENT, self._kwargs(config), package_digest())
+        return self.cache.key(CACHE_EXPERIMENT, self._kwargs(workload_class, config), self._digest)
 
     # -- evaluation ---------------------------------------------------
 
-    def evaluate_batch(self, configs: list[dict[str, Any]]) -> list[float]:
-        """Score every configuration, running only the cache misses."""
-        metrics = [self._lookup(config) for config in configs]
+    def evaluate_batch(self, candidates: list[Candidate]) -> list[float]:
+        """Score every candidate, running only the cache misses."""
+        memo_keys = [
+            canonical_kwargs({"class": cls.name, "config": dict(config)})
+            for cls, config in candidates
+        ]
+        metrics = [
+            self._lookup(cls, config, memo_key)
+            for (cls, config), memo_key in zip(candidates, memo_keys, strict=True)
+        ]
         misses = [i for i, m in enumerate(metrics) if m is None]
         if misses:
-            fresh = self._run_misses([configs[i] for i in misses])
+            fresh = self._run_misses([candidates[i] for i in misses])
             for i, m in zip(misses, fresh, strict=True):
                 metrics[i] = m
-        self.evaluations += len(configs)
+        self.evaluations += len(candidates)
         scores = []
-        for config, m in zip(configs, metrics, strict=True):
+        for memo_key, m in zip(memo_keys, metrics, strict=True):
             assert m is not None
-            self._memo[canonical_kwargs({"config": dict(config)})] = m
+            self._memo[memo_key] = m
             scores.append(m["score"])
         return scores
 
-    def _lookup(self, config: dict[str, Any]) -> dict[str, float] | None:
+    def _lookup(
+        self, workload_class: WorkloadClass, config: dict[str, Any], memo_key: str
+    ) -> dict[str, float] | None:
         """In-run memo first, then the on-disk cache."""
-        memo_key = canonical_kwargs({"config": dict(config)})
         hit = self._memo.get(memo_key)
         if hit is not None:
             self.cache_hits += 1
             return hit
-        key = self._disk_key(config)
+        key = self._disk_key(workload_class, config)
         if key is None or self.cache is None:
             return None
         entry = self.cache.get(CACHE_EXPERIMENT, key)
@@ -166,20 +181,22 @@ class Evaluator:
         self.cache_hits += 1
         return {k: float(v) for k, v in row.items() if isinstance(v, (int, float))}
 
-    def _run_misses(self, configs: list[dict[str, Any]]) -> list[dict[str, float]]:
+    def _run_misses(self, candidates: list[Candidate]) -> list[dict[str, float]]:
         """One fleet run covering every miss; store each result on disk."""
-        base = self.sims_run
-        pairs = []
-        for offset, config in enumerate(configs):
-            group = f"tune/{self.workload_class.name}/c{base + offset:05d}"
-            spec = self.workload_class.scenario(
-                config, group=group, seed=self.seed, horizon_ns=self.horizon_ns
+        groups = []
+        specs = []
+        for cls, config in candidates:
+            n = self._class_sims.get(cls.name, 0)
+            self._class_sims[cls.name] = n + 1
+            group = f"tune/{cls.name}/c{n:05d}"
+            groups.append(group)
+            specs.append(
+                cls.scenario(config, group=group, seed=self.seed, horizon_ns=self.horizon_ns)
             )
-            pairs.append((group, spec))
-        aggregate = run_fleet([spec for _, spec in pairs], pool=self.pool)
-        self.sims_run += len(pairs)
+        aggregate = run_fleet(specs, pool=self.pool)
+        self.sims_run += len(specs)
         out: list[dict[str, float]] = []
-        for (group, _), config in zip(pairs, configs, strict=True):
+        for group, (cls, config) in zip(groups, candidates, strict=True):
             sub = aggregate.groups[group]
             m = {
                 "score": self.objective.score(sub),
@@ -187,18 +204,22 @@ class Evaluator:
                 "lat_mean_ms": sub.lat_mean / 1e6,
                 "p99_ms": sub.quantile(0.99) / 1e6,
             }
-            self._store(config, m)
+            self._store(cls, config, m)
             out.append(m)
         return out
 
-    def _store(self, config: dict[str, Any], metrics: dict[str, float]) -> None:
+    def _store(
+        self, workload_class: WorkloadClass, config: dict[str, Any], metrics: dict[str, float]
+    ) -> None:
         if self.cache is None:
             return
-        key = self._disk_key(config)
+        key = self._disk_key(workload_class, config)
         assert key is not None
         result = ExperimentResult(
             experiment=CACHE_EXPERIMENT,
-            title=f"tune evaluation: {self.workload_class.name}",
+            title=f"tune evaluation: {workload_class.name}",
         )
         result.add_row(**metrics)
-        self.cache.put(CACHE_EXPERIMENT, key, result, kwargs=self._kwargs(config))
+        self.cache.put(
+            CACHE_EXPERIMENT, key, result, kwargs=self._kwargs(workload_class, config)
+        )

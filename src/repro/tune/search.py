@@ -10,21 +10,24 @@ Two phases, as in classic auto-tuning practice:
    and yields the per-parameter *sensitivity* ranking (the score range
    each axis induced while the others were pinned at the incumbent).
 
-Every candidate goes through a caller-supplied ``evaluate_batch``
-callback (one call per generation, so the evaluation backend can batch
-all misses into a single fleet run).  All randomness flows from
-``random.Random(seed)`` / ``numpy.random.default_rng(seed)``; no
-wall-clock, no host state — same seed + same space ⇒ the same candidate
-stream, bit for bit.
+:func:`search` is an ask/tell generator: it yields each generation's
+candidate configurations and is sent back their scores, so a caller can
+score the generations of several searches in one batch.
+:func:`run_search` drives one search through a caller-supplied
+``evaluate_batch`` callback (one call per generation, so the evaluation
+backend can batch all misses into a single fleet run).  All randomness
+flows from ``random.Random(seed)`` / ``numpy.random.default_rng(seed)``;
+no wall-clock, no host state — same seed + same space ⇒ the same
+candidate stream, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -44,6 +47,12 @@ DESCENT_RADIUS = 0.25
 
 #: type of the batched evaluation callback: configs -> scores (lower wins)
 EvaluateBatch = Callable[[list[dict[str, Any]]], list[float]]
+
+_T = TypeVar("_T")
+
+#: an ask/tell step: yields a generation's configs, is sent their scores
+#: and returns a ``_T``
+Steps = Generator[list[dict[str, Any]], list[float], _T]
 
 
 @dataclass
@@ -78,9 +87,8 @@ def sample_random(dim: int, n: int, rng: random.Random) -> list[list[float]]:
 class _Tracker:
     """Shared bookkeeping: issue batches, keep the trace and the best."""
 
-    def __init__(self, space: ParamSpace, evaluate_batch: EvaluateBatch, budget: int) -> None:
+    def __init__(self, space: ParamSpace, budget: int) -> None:
         self.space = space
-        self.evaluate_batch = evaluate_batch
         self.budget = budget
         self.evaluations = 0
         self.trace: list[dict[str, Any]] = []
@@ -91,13 +99,14 @@ class _Tracker:
     def remaining(self) -> int:
         return self.budget - self.evaluations
 
-    def run(self, phase: str, units: list[list[float]]) -> list[float]:
-        """Evaluate a batch of unit points (truncated to the budget)."""
+    def run(self, phase: str, units: list[list[float]]) -> Steps[list[float]]:
+        """Evaluate a batch of unit points (truncated to the budget): yield
+        their configs once and receive the scores."""
         units = units[: max(self.remaining, 0)]
         if not units:
             return []
         configs = [self.space.config(u) for u in units]
-        scores = self.evaluate_batch(configs)
+        scores = yield configs
         for u, config, score in zip(units, configs, scores, strict=True):
             if score < self.best_score:
                 self.best_score = score
@@ -115,7 +124,7 @@ class _Tracker:
         return scores
 
 
-def _cmaes(tracker: _Tracker, dim: int, seed: int, budget: int) -> None:
+def _cmaes(tracker: _Tracker, dim: int, seed: int, budget: int) -> Steps[None]:
     """Minimal (μ/μ_w, λ) CMA-ES in the clipped unit cube (numpy only)."""
     rng = np.random.default_rng(seed)
     lam = 4 + int(3 * math.log(dim)) if dim > 1 else 6
@@ -143,7 +152,7 @@ def _cmaes(tracker: _Tracker, dim: int, seed: int, budget: int) -> None:
         inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
         z = rng.standard_normal((lam, dim))
         xs = np.clip(mean + sigma * (z @ scale.T), 0.0, 1.0)
-        scores = tracker.run("cmaes", [list(map(float, x)) for x in xs])
+        scores = yield from tracker.run("cmaes", [list(map(float, x)) for x in xs])
         if not scores:
             return
         spent += len(scores)
@@ -170,7 +179,7 @@ def _cmaes(tracker: _Tracker, dim: int, seed: int, budget: int) -> None:
         sigma = min(max(sigma, 1e-8), 1.0)
 
 
-def _descend(tracker: _Tracker, seed: int) -> dict[str, float]:
+def _descend(tracker: _Tracker, seed: int) -> Steps[dict[str, float]]:
     """Per-parameter 1-D coordinate descent from the incumbent.
 
     Sweeps each axis in turn over a bracket centred on the incumbent,
@@ -199,13 +208,59 @@ def _descend(tracker: _Tracker, seed: int) -> dict[str, float]:
                 point = list(tracker.best_unit)
                 point[axis] = min(max(u, 0.0), 1.0)
                 units.append(point)
-            scores = tracker.run("descent", units)
+            scores = yield from tracker.run("descent", units)
             for score in scores:
                 lo_seen[name] = min(lo_seen[name], score)
                 hi_seen[name] = max(hi_seen[name], score)
             sensitivity[name] = hi_seen[name] - lo_seen[name]
         radius /= 2.0
     return sensitivity
+
+
+def search(
+    space: ParamSpace,
+    *,
+    budget: int,
+    seed: int,
+    method: str = "lhs",
+    initial: dict[str, Any] | None = None,
+) -> Steps[SearchResult]:
+    """Global phase + local descent, as an ask/tell generator.
+
+    Yields each generation's configurations, expects their scores back
+    through ``send`` and returns the :class:`SearchResult`; deterministic
+    in ``seed``.  ``budget`` bounds the number of candidate evaluations;
+    ``method`` selects the global phase (one of :data:`SEARCH_METHODS`).
+    Scores are minimised.  ``initial`` warm-starts the search with a
+    known configuration (the paper defaults) so the reported best can
+    never be worse than it.
+    """
+    if method not in SEARCH_METHODS:
+        raise ValueError(f"method must be one of {list(SEARCH_METHODS)}, got {method!r}")
+    if budget < 2:
+        raise ValueError(f"budget must be >= 2, got {budget}")
+    tracker = _Tracker(space, budget)
+    if initial is not None:
+        yield from tracker.run("initial", [space.unit(initial)])
+    # leave the local phase at least one full pass over every axis
+    full_pass = space.dim * DESCENT_POINTS
+    global_budget = max(1, min(int(budget * GLOBAL_FRACTION), tracker.remaining - full_pass))
+    if method == "cmaes":
+        yield from _cmaes(tracker, space.dim, seed, global_budget)
+    else:
+        rng = random.Random(seed)
+        sampler = sample_lhs if method == "lhs" else sample_random
+        units = sampler(space.dim, global_budget, rng)
+        yield from tracker.run(method, units)
+    sensitivity = yield from _descend(tracker, seed)
+    assert tracker.best_unit is not None
+    return SearchResult(
+        best_config=space.config(tracker.best_unit),
+        best_score=tracker.best_score,
+        evaluations=tracker.evaluations,
+        trace=tracker.trace,
+        sensitivity=sensitivity,
+    )
 
 
 def run_search(
@@ -217,37 +272,12 @@ def run_search(
     method: str = "lhs",
     initial: dict[str, Any] | None = None,
 ) -> SearchResult:
-    """Global phase + local descent; deterministic in ``seed``.
-
-    ``budget`` bounds the number of candidate evaluations;
-    ``method`` selects the global phase (one of
-    :data:`SEARCH_METHODS`).  Scores are minimised.  ``initial``
-    warm-starts the search with a known configuration (the paper
-    defaults) so the reported best can never be worse than it.
-    """
-    if method not in SEARCH_METHODS:
-        raise ValueError(f"method must be one of {list(SEARCH_METHODS)}, got {method!r}")
-    if budget < 2:
-        raise ValueError(f"budget must be >= 2, got {budget}")
-    tracker = _Tracker(space, evaluate_batch, budget)
-    if initial is not None:
-        tracker.run("initial", [space.unit(initial)])
-    # leave the local phase at least one full pass over every axis
-    full_pass = space.dim * DESCENT_POINTS
-    global_budget = max(1, min(int(budget * GLOBAL_FRACTION), tracker.remaining - full_pass))
-    if method == "cmaes":
-        _cmaes(tracker, space.dim, seed, global_budget)
-    else:
-        rng = random.Random(seed)
-        sampler = sample_lhs if method == "lhs" else sample_random
-        units = sampler(space.dim, global_budget, rng)
-        tracker.run(method, units)
-    sensitivity = _descend(tracker, seed)
-    assert tracker.best_unit is not None
-    return SearchResult(
-        best_config=space.config(tracker.best_unit),
-        best_score=tracker.best_score,
-        evaluations=tracker.evaluations,
-        trace=tracker.trace,
-        sensitivity=sensitivity,
-    )
+    """Run :func:`search` to the end, scoring each generation with one
+    ``evaluate_batch`` call."""
+    steps = search(space, budget=budget, seed=seed, method=method, initial=initial)
+    try:
+        configs = next(steps)
+        while True:
+            configs = steps.send(evaluate_batch(configs))
+    except StopIteration as done:
+        return done.value

@@ -21,17 +21,22 @@ where (``classes`` from the catalogue)::
     [[param]]
     knob = "quantile"
 
-:func:`run_tune` tunes every class independently — global search, then
-per-parameter descent — and also scores the paper-default configuration
-so the report can state the improvement.  All candidate evaluations are
-deduplicated through the experiment cache; a warm rerun executes zero
-simulations.  One :class:`~repro.fleet.engine.WorkerPool` serves every
-evaluation of a run: it forks on the first cache miss (so a warm rerun
-forks nothing) and is shut down when the run returns or raises.
+:func:`run_tune` tunes every class with its own search — global search,
+then per-parameter descent — and also scores the paper-default
+configuration so the report can state the improvement.  The searches
+advance in lockstep: generation 0 is the paper default of every class,
+and each later generation gathers the next batch of every search still
+running into one evaluation, so one fleet call scores it.  All candidate
+evaluations are deduplicated through the experiment cache; a warm rerun
+executes zero simulations.  One :class:`~repro.fleet.engine.WorkerPool`
+serves every evaluation of a run: it forks on the first cache miss (so a
+warm rerun forks nothing) and is shut down when the run returns or
+raises.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -40,10 +45,10 @@ from repro.experiments.cache import ResultCache
 from repro.fleet.engine import WorkerPool
 from repro.fleet.spec import SpecError, _int_field, _ms_to_ns, _reject_unknown, load_toml
 from repro.sim.time import MS
-from repro.tune.classes import WORKLOAD_CLASSES
+from repro.tune.classes import WORKLOAD_CLASSES, WorkloadClass
 from repro.tune.evaluate import Evaluator, Objective
 from repro.tune.report import class_payload, tune_payload
-from repro.tune.search import SEARCH_METHODS, run_search
+from repro.tune.search import SEARCH_METHODS, SearchResult, Steps, search
 from repro.tune.space import ParamSpace, default_config, default_space, space_from_tables
 
 _TUNE_KEYS = ("name", "seed", "budget", "method", "classes", "horizon_ms")
@@ -154,38 +159,67 @@ class TuneReport:
     sims_run: int = 0
 
 
+def _lockstep(
+    evaluator: Evaluator, classes: list[WorkloadClass], searches: list[Steps[SearchResult]]
+) -> list[SearchResult]:
+    """Run every search to its end, one evaluation per generation: the
+    next batch of every search still running, class after class."""
+    results: dict[int, SearchResult] = {}
+    asks: dict[int, list[dict[str, Any]]] = {}
+
+    def advance(i: int, scores: list[float] | None) -> None:
+        try:
+            asks[i] = next(searches[i]) if scores is None else searches[i].send(scores)
+        except StopIteration as done:
+            results[i] = done.value
+            asks.pop(i, None)
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while asks:
+        pending = list(asks.items())
+        scores = iter(
+            evaluator.evaluate_batch(
+                [(classes[i], config) for i, configs in pending for config in configs]
+            )
+        )
+        for i, configs in pending:
+            advance(i, list(itertools.islice(scores, len(configs))))
+    return [results[i] for i in range(len(searches))]
+
+
 def run_tune(
     spec: TuneSpec, *, jobs: int = 1, cache: ResultCache | None = None
 ) -> TuneReport:
     """Tune every workload class of ``spec``; deterministic in its seed."""
     base_config = default_config(spec.space)
-    classes: dict[str, dict[str, Any]] = {}
-    evaluations = cache_hits = sims_run = 0
+    workload_classes = [WORKLOAD_CLASSES[key] for key in spec.classes]
     with WorkerPool(jobs) as pool:
-        for offset, key in enumerate(spec.classes):
-            evaluator = Evaluator(
-                WORKLOAD_CLASSES[key],
-                spec.objective,
-                seed=spec.seed,
-                horizon_ns=spec.horizon_ns,
-                cache=cache,
-                pool=pool,
-            )
-            default_score = evaluator.evaluate_batch([dict(base_config)])[0]
-            result = run_search(
+        evaluator = Evaluator(
+            spec.objective,
+            seed=spec.seed,
+            horizon_ns=spec.horizon_ns,
+            cache=cache,
+            pool=pool,
+        )
+        default_scores = evaluator.evaluate_batch(
+            [(cls, dict(base_config)) for cls in workload_classes]
+        )
+        searches = [
+            search(
                 spec.space,
-                evaluator.evaluate_batch,
                 budget=spec.budget,
                 seed=spec.seed + offset,
                 method=spec.method,
                 initial=dict(base_config),
             )
-            classes[key] = class_payload(
-                result, default_config=base_config, default_score=default_score
-            )
-            evaluations += evaluator.evaluations
-            cache_hits += evaluator.cache_hits
-            sims_run += evaluator.sims_run
+            for offset in range(len(workload_classes))
+        ]
+        results = _lockstep(evaluator, workload_classes, searches)
+    classes = {
+        key: class_payload(result, default_config=base_config, default_score=default_score)
+        for key, result, default_score in zip(spec.classes, results, default_scores, strict=True)
+    }
     payload = tune_payload(
         name=spec.name,
         seed=spec.seed,
@@ -198,7 +232,7 @@ def run_tune(
     )
     return TuneReport(
         payload=payload,
-        evaluations=evaluations,
-        cache_hits=cache_hits,
-        sims_run=sims_run,
+        evaluations=evaluator.evaluations,
+        cache_hits=evaluator.cache_hits,
+        sims_run=evaluator.sims_run,
     )

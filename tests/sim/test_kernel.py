@@ -291,6 +291,20 @@ class TestSpawnAndRun:
         end = k.run_until_exit([a, b], hard_limit=SEC)
         assert end == 15 * MS
 
+    @pytest.mark.parametrize("lead", [(), (Compute(1 * MS),)])
+    def test_unknown_instruction_raises_naming_the_process(self, lead):
+        # at the first fetch, and mid-chain after an inline Compute
+        k = make_kernel()
+
+        def prog():
+            for instr in lead:
+                yield instr
+            yield 42
+
+        k.spawn("oddball", prog())
+        with pytest.raises(TypeError, match="program of oddball yielded 42"):
+            k.run(SEC)
+
     def test_syscall_count(self):
         k = make_kernel()
 
@@ -310,6 +324,9 @@ class TestTracerHooks:
             self.entries = []
             self.exits = []
             self.extra = extra
+
+        def bind(self, kernel):
+            pass
 
         def traces(self, proc):
             return True

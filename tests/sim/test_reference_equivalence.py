@@ -10,12 +10,12 @@ kernel's stats, each process's accounting and latency moments (floats by
 ``float.hex``), and the scheduler's cycle counters.
 
 The property test draws random programs over every instruction kind
-(including probes that reach scheduler state and bodies that call into
-the kernel directly) under every uniprocessor scheduler and three ways of
-running: one ``run``, chunked runs, and chunks with
-``stop_before_switch``.  The deterministic tests below it pin one chain
-end each: without that end the chain would run past where the reference
-re-decides.
+(including probes that reach scheduler state, bodies that call into the
+kernel directly, and traced-set changes from a body, a probe and a
+timer) under every uniprocessor scheduler and three ways of running: one
+``run``, chunked runs, and chunks with ``stop_before_switch``.  The
+deterministic tests below it pin one chain end each: without that end
+the chain would run past where the reference re-decides.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.sim import (
     WaitEvent,
 )
 from repro.sim.instructions import Fire, Label
+from repro.tracer.qtrace import QTracer
 from tests.sim.reference_kernel import ReferenceKernel
 
 SCHEDULERS = ("rr", "cbs-hard", "cbs-soft", "cbs-background", "edf", "fp", "stride")
@@ -55,15 +56,26 @@ NO_SWITCH_COST = KernelConfig(context_switch_cost=0)
 
 
 class _CountingTracer:
-    """Traces even pids; charges ``entry``/``exit`` extra ns per call."""
+    """Traces even pids, each flipped by ``toggle``; charges
+    ``entry``/``exit`` extra ns per call."""
 
     def __init__(self, entry: int, exit: int, log: list) -> None:
         self.entry = entry
         self.exit = exit
         self.log = log
+        self.flipped: set[int] = set()
+        self.kernels: list = []
+
+    def bind(self, kernel) -> None:
+        self.kernels.append(kernel)
+
+    def toggle(self, pid: int) -> None:
+        self.flipped ^= {pid}
+        for kernel in self.kernels:
+            kernel.tracing_changed()
 
     def traces(self, proc) -> bool:
-        return proc.pid % 2 == 0
+        return (proc.pid % 2 == 0) != (proc.pid in self.flipped)
 
     def on_syscall_entry(self, proc, nr, now: int) -> int:
         self.log.append(("entry", proc.pid, nr.value, now))
@@ -74,8 +86,28 @@ class _CountingTracer:
         return self.exit
 
 
-def _program(kernel: Kernel, ops: list[tuple[int, int]], reps: int, seen: list):
-    """A program over every instruction kind; ``seen`` logs what it is sent."""
+class _LoggingQTracer(QTracer):
+    """qtrace that logs every hook call it answers, with its cost."""
+
+    def __init__(self, log: list) -> None:
+        super().__init__()
+        self.log = log
+
+    def on_syscall_entry(self, proc, nr, now: int) -> int:
+        cost = super().on_syscall_entry(proc, nr, now)
+        self.log.append(("entry", proc.pid, nr.value, now, cost))
+        return cost
+
+    def on_syscall_exit(self, proc, nr, now: int) -> int:
+        cost = super().on_syscall_exit(proc, nr, now)
+        self.log.append(("exit", proc.pid, nr.value, now, cost))
+        return cost
+
+
+def _program(kernel: Kernel, ops: list[tuple[int, int]], reps: int, seen: list, retrace):
+    """A program over every instruction kind; ``seen`` logs what it is sent.
+
+    ``retrace(mag)`` changes the traced set (see ``_build``)."""
     pending = []
     for _ in range(reps):
         for kind, mag in ops:
@@ -101,18 +133,24 @@ def _program(kernel: Kernel, ops: list[tuple[int, int]], reps: int, seen: list):
                 kernel.fire_event(KEYS[mag % 2])
                 now = yield Compute(mag * US)
             elif kind == 8:
-                pending.append(kernel.at(kernel.clock + mag * 50 * US, lambda t: None))
+                # a timer that changes the traced set
+                when = kernel.clock + mag * 50 * US
+                pending.append(kernel.at(when, lambda t, m=mag: retrace(m)))
                 now = yield Compute(mag * 5 * US)
-            else:
+            elif kind == 9:
                 if pending:
                     pending.pop(0).cancel()
                 now = yield Compute(mag * 5 * US)
+            else:
+                # a body that changes the traced set between two syscalls
+                retrace(mag)
+                now = yield Syscall(SyscallNr.WRITE, cost=mag * US)
             seen.append(now)
     if ops and ops[-1] == (9, 20):
         raise RuntimeError("crash on purpose")
 
 
-op = st.tuples(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=20))
+op = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=20))
 proc_spec = st.tuples(
     st.lists(op, min_size=1, max_size=10),
     st.integers(min_value=1, max_value=4),  # reps
@@ -175,6 +213,15 @@ def _build(kernel_cls, sc: dict):
     log.update(tracer=[], probe=[])
     if sc["tracer"] is not None:
         kernel.add_tracer(_CountingTracer(*sc["tracer"], log["tracer"]))
+
+    def retrace(mag: int) -> None:
+        """Flip whether pid ``1000 + mag % 4`` is traced; with no tracer
+        yet, attach one instead."""
+        if kernel.tracers:
+            kernel.tracers[0].toggle(1000 + mag % 4)
+        else:
+            kernel.add_tracer(_CountingTracer(1_000, 2_000, log["tracer"]))
+
     servers = []
     if sc["sched"].startswith("cbs"):
         policy = sc["sched"].split("-")[1]
@@ -192,12 +239,14 @@ def _build(kernel_cls, sc: dict):
             sched.set_params(server, ServerParams(budget, period, server.params.policy))
         else:
             kernel.at(now + mag * 20 * US, lambda t: kernel.fire_event(KEYS[mag % 2], t))
+        if mag % 2:
+            retrace(mag)
 
     kernel.add_label_probe("probe", probe)
     procs, seen = [], []
     for i, (ops, reps, delay_ms) in enumerate(sc["procs"]):
         seen.append([])
-        program = _program(kernel, ops, reps, seen[-1])
+        program = _program(kernel, ops, reps, seen[-1], retrace)
         proc = kernel.spawn(f"p{i}", program, at=delay_ms * MS or None)
         procs.append(proc)
         if sc["sched"] == "edf":
@@ -517,3 +566,80 @@ class TestChainEnds:
             return calls
 
         assert_chain_end(lambda: RoundRobinScheduler(timeslice=4 * MS), build)
+
+    def test_program_traces_itself_mid_chain(self):
+        # the body starts tracing itself between two non-blocking calls
+        # of one chain, and stops two calls later
+        def build(kernel, seen):
+            calls: list = []
+            tracer = _LoggingQTracer(calls)
+            kernel.add_tracer(tracer)
+            write = Syscall(SyscallNr.WRITE, cost=20 * US)
+
+            def runner():
+                seen.append((yield Compute(300 * US)))
+                seen.append((yield write))
+                tracer.trace_pid(me.pid)
+                for _ in range(2):
+                    seen.append((yield write))
+                tracer.untrace_pid(me.pid)
+                for _ in range(2):
+                    seen.append((yield write))
+                for _ in range(4):
+                    seen.append((yield Compute(300 * US)))
+
+            me = kernel.spawn("runner", runner())
+            kernel.spawn("other", _computes(12, 300 * US, seen))
+            return calls
+
+        assert_chain_end(lambda: RoundRobinScheduler(timeslice=4 * MS), build)
+        calls = _pair(Kernel, lambda: RoundRobinScheduler(timeslice=4 * MS), build)["extra"]
+        assert [c[0] for c in calls] == ["entry", "exit", "entry", "exit"]
+
+    def test_body_attaches_a_tracer_mid_chain(self):
+        # a kernel with no tracer gains one that traces the running body
+        def build(kernel, seen):
+            calls: list = []
+            tracer = _LoggingQTracer(calls)
+            write = Syscall(SyscallNr.WRITE, cost=20 * US)
+
+            def runner():
+                seen.append((yield Compute(300 * US)))
+                seen.append((yield write))
+                tracer.trace_pid(me.pid)
+                kernel.add_tracer(tracer)
+                for _ in range(3):
+                    seen.append((yield write))
+                for _ in range(4):
+                    seen.append((yield Compute(300 * US)))
+
+            me = kernel.spawn("runner", runner())
+            kernel.spawn("other", _computes(12, 300 * US, seen))
+            return calls
+
+        assert_chain_end(lambda: RoundRobinScheduler(timeslice=4 * MS), build)
+        calls = _pair(Kernel, lambda: RoundRobinScheduler(timeslice=4 * MS), build)["extra"]
+        assert len(calls) == 6
+
+    def test_exhaustion_hook_traces_the_running_process(self):
+        # the budget runs out exactly as a non-blocking call completes,
+        # and the hook that ``charge`` calls starts tracing its caller:
+        # the call's exit is logged, as the reference does
+        def build(kernel, seen):
+            calls: list = []
+            tracer = _LoggingQTracer(calls)
+            kernel.add_tracer(tracer)
+            cbs = kernel.scheduler
+            server = cbs.create_server(ServerParams(1 * MS, 10 * MS, "hard"), "one")
+            server.exhaustion_hook = lambda srv, now: tracer.trace_pid(me.pid)
+            write = Syscall(SyscallNr.WRITE, cost=20 * US)
+            tail = [write, Compute(100 * US), write]
+            me = kernel.spawn("runner", _computes(1, 980 * US, seen, tail))
+            cbs.attach(me, server)
+            kernel.spawn("background", _computes(12, 300 * US, seen))
+            return calls
+
+        assert_chain_end(CbsScheduler, build)
+        calls = _pair(Kernel, CbsScheduler, build)["extra"]
+        assert calls[0][:2] == ("exit", 1000) and calls[0][3] == 1 * MS
+

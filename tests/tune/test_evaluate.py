@@ -16,13 +16,15 @@ from repro.tune.evaluate import Evaluator, Objective
 #: machinery, not the quality of the scores
 HORIZON_NS = 400_000_000
 
+PERIODIC = WORKLOAD_CLASSES["periodic-mix"]
 CONFIG_A = {"spread": 0.1, "quantile": 0.9}
 CONFIG_B = {"spread": 0.3, "quantile": 0.7}
+A = (PERIODIC, CONFIG_A)
+B = (PERIODIC, CONFIG_B)
 
 
 def make_evaluator(cache=None):
     return Evaluator(
-        WORKLOAD_CLASSES["periodic-mix"],
         Objective(),
         seed=3,
         horizon_ns=HORIZON_NS,
@@ -83,56 +85,55 @@ class TestControllerFromConfig:
 
 class TestEvaluator:
     def test_scores_are_deterministic_and_finite(self):
-        a = make_evaluator().evaluate_batch([CONFIG_A, CONFIG_B])
-        b = make_evaluator().evaluate_batch([CONFIG_A, CONFIG_B])
+        a = make_evaluator().evaluate_batch([A, B])
+        b = make_evaluator().evaluate_batch([A, B])
         assert a == b
         assert all(s >= 0 for s in a)
 
     def test_distinct_configs_get_distinct_sims(self):
         ev = make_evaluator()
-        ev.evaluate_batch([CONFIG_A, CONFIG_B])
+        ev.evaluate_batch([A, B])
         assert ev.sims_run == 2
         assert ev.evaluations == 2
         assert ev.cache_hits == 0
 
     def test_repeat_within_a_run_hits_the_memo(self):
         ev = make_evaluator()
-        first = ev.evaluate_batch([CONFIG_A])
-        second = ev.evaluate_batch([CONFIG_A])
+        first = ev.evaluate_batch([A])
+        second = ev.evaluate_batch([A])
         assert first == second
         assert ev.sims_run == 1
         assert ev.cache_hits == 1
 
     def test_warm_rerun_replays_from_disk(self, tmp_path):
         cold = make_evaluator(cache=ResultCache(tmp_path))
-        scores = cold.evaluate_batch([CONFIG_A, CONFIG_B])
+        scores = cold.evaluate_batch([A, B])
         assert cold.sims_run == 2
 
         warm = make_evaluator(cache=ResultCache(tmp_path))
-        assert warm.evaluate_batch([CONFIG_A, CONFIG_B]) == scores
+        assert warm.evaluate_batch([A, B]) == scores
         assert warm.sims_run == 0
         assert warm.cache_hits == 2
 
     def test_cache_key_covers_the_whole_provenance(self, tmp_path):
         ev = make_evaluator(cache=ResultCache(tmp_path))
-        base = ev._disk_key(CONFIG_A)
-        assert ev._disk_key(dict(CONFIG_A)) == base  # canonical in dict identity
-        assert ev._disk_key(CONFIG_B) != base
+        base = ev._disk_key(*A)
+        assert ev._disk_key(PERIODIC, dict(CONFIG_A)) == base  # canonical in dict identity
+        assert ev._disk_key(*B) != base
+        assert ev._disk_key(WORKLOAD_CLASSES["audio-burst"], CONFIG_A) != base
 
         other_seed = Evaluator(
-            WORKLOAD_CLASSES["periodic-mix"],
             Objective(),
             seed=4,
             horizon_ns=HORIZON_NS,
             cache=ResultCache(tmp_path),
         )
-        assert other_seed._disk_key(CONFIG_A) != base
+        assert other_seed._disk_key(*A) != base
 
         other_objective = Evaluator(
-            WORKLOAD_CLASSES["periodic-mix"],
             Objective(miss_weight=1.0),
             seed=3,
             horizon_ns=HORIZON_NS,
             cache=ResultCache(tmp_path),
         )
-        assert other_objective._disk_key(CONFIG_A) != base
+        assert other_objective._disk_key(*A) != base

@@ -6,6 +6,7 @@ reruns), the warm rerun executes zero simulations, and the reported
 best can never be worse than the paper default it is compared against.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -13,10 +14,15 @@ import os
 import pytest
 
 import repro.fleet.engine as engine
+import repro.tune.evaluate as evaluate
 from repro.experiments.cache import ResultCache
 from repro.fleet.spec import SpecError
-from repro.tune.report import SCHEMA, rank_importance, write_tune_json
+from repro.tune.classes import WORKLOAD_CLASSES
+from repro.tune.evaluate import Evaluator
+from repro.tune.report import SCHEMA, class_payload, rank_importance, write_tune_json
+from repro.tune.search import run_search
 from repro.tune.service import TuneSpec, run_tune, tune_spec_from_toml
+from repro.tune.space import default_config
 
 #: small budget + short horizon: machinery coverage, minutes matter
 SPEC_TOML = """
@@ -167,6 +173,67 @@ class TestWarmPool:
             run_tune(tune_spec_from_toml(SPEC_TOML), jobs=2, cache=None)
         assert failure.value.args[0] != os.getpid()  # raised in a worker
         assert not multiprocessing.active_children()
+
+
+def _tuned_alone(spec: TuneSpec, offset: int) -> dict:
+    """The section of class ``spec.classes[offset]`` when nothing else is
+    tuned with it: its default scored, then its own search driven batch
+    by batch (the search seed is offset by the class's position)."""
+    cls = WORKLOAD_CLASSES[spec.classes[offset]]
+    base = default_config(spec.space)
+    ev = Evaluator(spec.objective, seed=spec.seed, horizon_ns=spec.horizon_ns)
+    default_score = ev.evaluate_batch([(cls, dict(base))])[0]
+    result = run_search(
+        spec.space,
+        lambda configs: ev.evaluate_batch([(cls, c) for c in configs]),
+        budget=spec.budget,
+        seed=spec.seed + offset,
+        method=spec.method,
+        initial=dict(base),
+    )
+    return class_payload(result, default_config=base, default_score=default_score)
+
+
+class TestLockstep:
+    """Every class searches in lockstep: one evaluation, and one fleet
+    call, per generation, with each class's section as if tuned alone."""
+
+    SPEC = dataclasses.replace(
+        tune_spec_from_toml(SPEC_TOML), classes=("periodic-mix", "audio-burst")
+    )
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        return [
+            json.dumps(_tuned_alone(self.SPEC, offset), sort_keys=True)
+            for offset in range(len(self.SPEC.classes))
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_section_equals_the_class_tuned_alone(self, alone, jobs):
+        payload = run_tune(self.SPEC, jobs=jobs).payload
+        for key, section in zip(self.SPEC.classes, alone, strict=True):
+            assert json.dumps(payload["classes"][key], sort_keys=True) == section
+
+    def test_one_fleet_call_per_generation_with_misses(self, monkeypatch):
+        calls = []
+        real = evaluate.run_fleet
+
+        def spy(specs, **kwargs):
+            specs = list(specs)
+            calls.append(sorted({spec.group.split("/")[1] for spec in specs}))
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(evaluate, "run_fleet", spy)
+        run_tune(dataclasses.replace(self.SPEC, classes=self.SPEC.classes[:1]))
+        generations = len(calls)
+        calls.clear()
+        run_tune(self.SPEC)
+        # every generation of both searches has misses here, so each
+        # call runs both classes' sims; one search per call would make
+        # twice as many
+        assert len(calls) == generations
+        assert calls == [sorted(self.SPEC.classes)] * generations
 
 
 class TestTuneSpecValidation:
