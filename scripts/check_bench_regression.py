@@ -1,270 +1,91 @@
 #!/usr/bin/env python
-"""CI gate: fail on micro-benchmark throughput regressions.
+"""Nightly gate: this checkout against a base commit, end to end, on one host.
 
-Compares the ``micro`` section of two ``BENCH_*.json`` reports (schema
-``repro-bench/1``).  A guarded metric whose throughput drops below
-``--threshold`` (default 0.8, i.e. a >20% drop) of the baseline fails
-the gate; the ``fastforward`` metric additionally must keep its
-wall-clock speedup at or above ``--min-speedup`` (default 10, the
-acceptance bar of the fast-forward PR), the ``fleet`` metric must
-keep its batched-engine speedup over naive per-sim execution at or
-above ``--min-fleet-speedup`` (default 5, the fleet PR's bar), and the
-``tune`` metric must keep its warm-rerun result-cache speedup at or
-above ``--min-tune-cache-speedup`` (default 2, the tuner PR's bar: a
-cache-served rerun that is not clearly faster than simulating means
-the dedup layer broke), and the ``lint`` metric must keep its
-warm-run incremental-cache speedup at or above
-``--min-lint-cache-speedup`` (default 3) while re-analysing zero
-files on the warm pass.
+    python scripts/check_bench_regression.py --base REF
 
-Timings on shared CI runners are noisy, which is why only *large* drops
-fail and why the summary is written even on success — the trajectory
-matters more than any single point.  When ``$GITHUB_STEP_SUMMARY`` is
-set, a markdown table is appended to it.
+Exports ``REF`` with ``git archive`` into a temporary directory and
+copies this checkout's ``benchmarks/e2e/`` and ``BENCHMARK.json`` over
+it, so both sides run the same benchmark code, each on its own
+``src/``.  Then it runs ``benchmarks/e2e/run.py`` (every workload) on
+each side for seeds 1-3.  The side that goes first alternates with the
+seed, so host drift hits both sides alike.  Seed 0 is left out because
+``run.py`` checks seed-0 digests against ``digests.json``, which a
+change may re-record on purpose; a change of output still shows as a
+digest mismatch between the two sides.
 
-Usage::
-
-    python scripts/check_bench_regression.py \
-        --baseline benchmarks/baselines/BENCH_baseline.json \
-        --current BENCH_current.json
+Each side's runs are merged into one run set, written to
+``gate-base.json`` and ``gate-change.json`` in the current directory,
+and ``benchmarks/e2e/compare.py`` compares the two.  The exit status is
+compare.py's: 1 on a ``REGRESSION``, a digest mismatch or a failed
+operation.  Six all-workload runs take about 11 minutes on a two-vCPU
+x86_64 VM.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
-import os
+import shutil
+import signal
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
-#: metrics the gate guards; anything else in the report is informational
-GUARDED_METRICS = ("calendar", "sim", "spectrum", "detector", "fleet", "tune", "lint")
-
-#: the fast-forward speedup floor (full-run wall clock / fast-forward
-#: wall clock on the long periodic horizon)
-DEFAULT_MIN_SPEEDUP = 10.0
-
-#: the batched fleet engine's speedup floor over naive per-sim
-#: full-stepping execution (the fleet PR's acceptance bar)
-DEFAULT_MIN_FLEET_SPEEDUP = 5.0
-
-#: the tuner's warm-rerun cache speedup floor (cold wall clock / warm
-#: wall clock when every candidate replays from the result cache)
-DEFAULT_MIN_TUNE_CACHE_SPEEDUP = 2.0
-
-#: the linter's warm-run incremental-cache speedup floor (cold wall
-#: clock / warm wall clock when facts and reports replay from the
-#: on-disk cache; ~24x locally, floored conservatively for CI noise)
-DEFAULT_MIN_LINT_CACHE_SPEEDUP = 3.0
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2, 3)
 
 
-def load_micro(path: Path) -> dict[str, dict]:
-    """``name -> record`` map of the report's micro section."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != "repro-bench/1":
-        raise SystemExit(f"{path}: unexpected schema {payload.get('schema')!r}")
-    return {record["name"]: record for record in payload.get("micro", [])}
+def export(ref: str, dest: Path) -> None:
+    """``ref``'s tree at ``dest``, with this checkout's benchmark code."""
+    archive = subprocess.run(["git", "archive", ref], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"git archive {ref}: {archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+    e2e = dest / "benchmarks" / "e2e"
+    shutil.rmtree(e2e, ignore_errors=True)
+    shutil.copytree(
+        ROOT / "benchmarks" / "e2e", e2e, ignore=shutil.ignore_patterns("__pycache__", ".scratch")
+    )
+    shutil.copy2(ROOT / "BENCHMARK.json", dest / "BENCHMARK.json")
 
 
-def compare(
-    baseline: dict[str, dict],
-    current: dict[str, dict],
-    threshold: float,
-    min_speedup: float,
-    min_fleet_speedup: float = DEFAULT_MIN_FLEET_SPEEDUP,
-    min_tune_cache_speedup: float = DEFAULT_MIN_TUNE_CACHE_SPEEDUP,
-    min_lint_cache_speedup: float = DEFAULT_MIN_LINT_CACHE_SPEEDUP,
-) -> tuple[list[tuple], list[str]]:
-    """Returns (table rows, failure messages)."""
-    rows: list[tuple] = []
-    failures: list[str] = []
-    for name in sorted(set(baseline) | set(current)):
-        base = baseline.get(name)
-        cur = current.get(name)
-        if base is None or cur is None:
-            rows.append((name, base, cur, None, "missing"))
-            if cur is None and name in GUARDED_METRICS:
-                failures.append(f"{name}: guarded metric missing from the current report")
-            continue
-        ratio = cur["value"] / base["value"] if base["value"] else float("inf")
-        guarded = name in GUARDED_METRICS
-        status = "ok"
-        if guarded and ratio < threshold:
-            status = "REGRESSION"
-            failures.append(
-                f"{name}: {cur['value']:,.0f} {cur['unit']} is "
-                f"{ratio:.2f}x the baseline {base['value']:,.0f} "
-                f"(threshold {threshold:.2f})"
-            )
-        elif not guarded:
-            status = "info"
-        rows.append((name, base, cur, ratio, status))
-    ff = current.get("fastforward")
-    if ff is not None:
-        speedup = ff.get("extra", {}).get("speedup")
-        if speedup is None:
-            failures.append("fastforward: report carries no speedup measurement")
-        elif speedup < min_speedup:
-            failures.append(
-                f"fastforward: wall-clock speedup {speedup:.1f}x fell below "
-                f"the {min_speedup:.0f}x floor"
-            )
-    fleet = current.get("fleet")
-    if fleet is not None:
-        speedup = fleet.get("extra", {}).get("speedup")
-        if speedup is None:
-            failures.append("fleet: report carries no speedup measurement")
-        elif speedup < min_fleet_speedup:
-            failures.append(
-                f"fleet: batched-engine speedup {speedup:.1f}x over naive "
-                f"per-sim execution fell below the {min_fleet_speedup:.0f}x floor"
-            )
-    tune = current.get("tune")
-    if tune is not None:
-        speedup = tune.get("extra", {}).get("cache_speedup")
-        if speedup is None:
-            failures.append("tune: report carries no cache_speedup measurement")
-        elif speedup < min_tune_cache_speedup:
-            failures.append(
-                f"tune: warm-rerun cache speedup {speedup:.1f}x fell below "
-                f"the {min_tune_cache_speedup:.0f}x floor"
-            )
-        if tune.get("extra", {}).get("sims_warm", 0) != 0:
-            failures.append(
-                f"tune: warm rerun executed {tune['extra']['sims_warm']} "
-                f"sims, expected 0 (result-cache dedup broke)"
-            )
-    lint = current.get("lint")
-    if lint is not None:
-        speedup = lint.get("extra", {}).get("cache_speedup")
-        if speedup is None:
-            failures.append("lint: report carries no cache_speedup measurement")
-        elif speedup < min_lint_cache_speedup:
-            failures.append(
-                f"lint: warm-run cache speedup {speedup:.1f}x fell below "
-                f"the {min_lint_cache_speedup:.0f}x floor"
-            )
-        if lint.get("extra", {}).get("analysed_warm", 0) != 0:
-            failures.append(
-                f"lint: warm run analysed {lint['extra']['analysed_warm']} "
-                f"files, expected 0 (incremental cache broke)"
-            )
-    return rows, failures
+def run(side: Path, seed: int, out: Path) -> dict:
+    """One ``run.py`` cycle over every workload in ``side``; its run set."""
+    cmd = [sys.executable, "benchmarks/e2e/run.py", "--seed", str(seed), "--out", str(out)]
+    proc = subprocess.Popen(cmd, cwd=side, stdout=subprocess.DEVNULL)
+    try:
+        proc.wait()
+    finally:
+        if proc.poll() is None:
+            proc.terminate()  # run.py unwinds and kills its worker's process group
+            proc.wait()
+    if not out.exists():
+        raise SystemExit(f"{side}: run.py --seed {seed} exited {proc.returncode} with no run set")
+    return json.loads(out.read_text())
 
 
-def render_markdown(rows: list[tuple], failures: list[str], threshold: float) -> str:
-    lines = [
-        "## Micro-benchmark regression gate",
-        "",
-        f"Guarded metrics fail below {threshold:.0%} of baseline throughput.",
-        "",
-        "| metric | baseline | current | ratio | status |",
-        "|---|---:|---:|---:|---|",
-    ]
-    for name, base, cur, ratio, status in rows:
-        base_s = f"{base['value']:,.0f} {base['unit']}" if base else "—"
-        cur_s = f"{cur['value']:,.0f} {cur['unit']}" if cur else "—"
-        ratio_s = f"{ratio:.2f}x" if ratio is not None else "—"
-        mark = {"ok": "✅", "info": "ℹ️", "missing": "⚠️", "REGRESSION": "❌"}[status]
-        lines.append(f"| `{name}` | {base_s} | {cur_s} | {ratio_s} | {mark} {status} |")
-    ff_row = next((r for r in rows if r[0] == "fastforward" and r[2] is not None), None)
-    if ff_row is not None:
-        speedup = ff_row[2].get("extra", {}).get("speedup")
-        if speedup is not None:
-            lines.append("")
-            lines.append(f"Fast-forward wall-clock speedup: **{speedup:.1f}x**.")
-    fleet_row = next((r for r in rows if r[0] == "fleet" and r[2] is not None), None)
-    if fleet_row is not None:
-        speedup = fleet_row[2].get("extra", {}).get("speedup")
-        if speedup is not None:
-            lines.append("")
-            lines.append(f"Fleet batched-engine speedup: **{speedup:.1f}x** over naive.")
-    tune_row = next((r for r in rows if r[0] == "tune" and r[2] is not None), None)
-    if tune_row is not None:
-        speedup = tune_row[2].get("extra", {}).get("cache_speedup")
-        if speedup is not None:
-            lines.append("")
-            lines.append(f"Tune warm-rerun cache speedup: **{speedup:.1f}x** over cold.")
-    lint_row = next((r for r in rows if r[0] == "lint" and r[2] is not None), None)
-    if lint_row is not None:
-        speedup = lint_row[2].get("extra", {}).get("cache_speedup")
-        if speedup is not None:
-            lines.append("")
-            lines.append(f"Lint warm-run cache speedup: **{speedup:.1f}x** over cold.")
-    if failures:
-        lines.append("")
-        lines.append("### Failures")
-        lines.extend(f"- {failure}" for failure in failures)
-    return "\n".join(lines) + "\n"
-
-
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", required=True, type=Path, help="baseline BENCH_*.json")
-    parser.add_argument("--current", required=True, type=Path, help="current BENCH_*.json")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.8,
-        help="minimum current/baseline throughput ratio for guarded metrics",
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        help="minimum fast-forward wall-clock speedup",
-    )
-    parser.add_argument(
-        "--min-fleet-speedup",
-        type=float,
-        default=DEFAULT_MIN_FLEET_SPEEDUP,
-        help="minimum batched-fleet speedup over naive per-sim execution",
-    )
-    parser.add_argument(
-        "--min-tune-cache-speedup",
-        type=float,
-        default=DEFAULT_MIN_TUNE_CACHE_SPEEDUP,
-        help="minimum tuner warm-rerun speedup from the result cache",
-    )
-    parser.add_argument(
-        "--min-lint-cache-speedup",
-        type=float,
-        default=DEFAULT_MIN_LINT_CACHE_SPEEDUP,
-        help="minimum linter warm-run speedup from the incremental cache",
-    )
-    args = parser.parse_args()
-
-    baseline = load_micro(args.baseline)
-    current = load_micro(args.current)
-    rows, failures = compare(
-        baseline,
-        current,
-        args.threshold,
-        args.min_speedup,
-        args.min_fleet_speedup,
-        args.min_tune_cache_speedup,
-        args.min_lint_cache_speedup,
-    )
-
-    for name, base, cur, ratio, status in rows:
-        base_v = f"{base['value']:,.0f}" if base else "—"
-        cur_v = f"{cur['value']:,.0f}" if cur else "—"
-        ratio_s = f"{ratio:.2f}x" if ratio is not None else "—"
-        print(f"  {name:12s} {base_v:>18s} -> {cur_v:>18s}  {ratio_s:>7s}  {status}")
-
-    markdown = render_markdown(rows, failures, args.threshold)
-    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary_path:
-        with open(summary_path, "a", encoding="utf-8") as fh:
-            fh.write(markdown)
-
-    if failures:
-        print(f"\n{len(failures)} regression(s):", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("\nbench regression gate: all guarded metrics within threshold")
-    return 0
+    parser.add_argument("--base", required=True, metavar="REF", help="commit to compare against")
+    args = parser.parse_args(argv)
+    runs: dict[str, list[dict]] = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-gate-") as tmp:
+        sides = {"base": Path(tmp) / "base", "change": ROOT}
+        export(args.base, sides["base"])
+        for seed in SEEDS:
+            for name in ("base", "change") if seed % 2 else ("change", "base"):
+                print(f"[gate] seed {seed}: {name}", file=sys.stderr, flush=True)
+                runs[name].append(run(sides[name], seed, Path(tmp) / f"{name}-{seed}.json"))
+    for name, sets in runs.items():
+        merged = {**sets[0], "runs": [r for s in sets for r in s["runs"]]}
+        Path(f"gate-{name}.json").write_text(json.dumps(merged, indent=1) + "\n", encoding="utf-8")
+    compare = [sys.executable, ROOT / "benchmarks" / "e2e" / "compare.py"]
+    return subprocess.run([*compare, "gate-base.json", "gate-change.json"]).returncode
 
 
 if __name__ == "__main__":

@@ -1,30 +1,25 @@
-"""Single-run performance layer: canonical scenarios, golden digests, microbenchmarks.
+"""Single-run performance layer: canonical scenarios and golden digests.
 
-PR 1 made the experiment suite cheap *across* runs (process fan-out +
-result caching); this package makes the cost of one run a first-class,
-tracked quantity:
+The experiment harness makes the suite cheap *across* runs (process
+fan-out + result caching); this package pins what one run computes:
 
 - :mod:`.scenarios` — deterministic scheduler scenarios (a seeded
   mplayer-class player plus synthetic disturbance) shared by the golden
-  digests and the throughput benchmarks;
+  digests and the fast-forward equivalence checks;
 - :mod:`.golden` — SHA-256 digests over the full context-switch trace and
   final kernel state of each scenario, pinning the simulator's results
-  bit-for-bit across optimisation PRs;
-- :mod:`.micro` — the microbenchmarks behind ``repro-exp bench --micro``:
-  calendar ops/sec, simulated-ns/sec, spectrum events/sec and detector
-  pairs/sec, emitted into ``BENCH_*.json``.
+  bit-for-bit across optimisation PRs.
+
+How fast a run goes is measured from outside ``src/``, by the end-to-end
+benchmark under ``benchmarks/e2e/``.
 """
 
 from repro.bench.golden import GOLDEN_DIGESTS, golden_digest
-from repro.bench.micro import MICRO_REGISTRY, MicroResult, run_micro
 from repro.bench.scenarios import GOLDEN_SCENARIOS, build_scenario
 
 __all__ = [
     "GOLDEN_DIGESTS",
     "GOLDEN_SCENARIOS",
-    "MICRO_REGISTRY",
-    "MicroResult",
     "build_scenario",
     "golden_digest",
-    "run_micro",
 ]

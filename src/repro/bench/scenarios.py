@@ -6,9 +6,7 @@ periodic task whose cost jitter forces budget exhaustions, and a
 best-effort periodic disturbance — dispatched by one of the five
 schedulers under test.  Given the same name, :func:`build_scenario`
 produces bit-identical runs on every host and Python version, which is
-what lets :mod:`repro.bench.golden` pin SHA-256 digests across PRs and
-:mod:`repro.bench.micro` compare simulated-ns/sec before and after an
-optimisation.
+what lets :mod:`repro.bench.golden` pin SHA-256 digests across PRs.
 """
 
 from __future__ import annotations

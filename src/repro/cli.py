@@ -8,7 +8,6 @@
     repro-exp run fig06 --jobs 4        # shard inner repetitions
     repro-exp all --jobs 4              # everything, registry sharded
     repro-exp bench --output BENCH.json # timed sweep, machine-readable
-    repro-exp bench --micro             # hot-path microbenchmarks
     repro-exp trace fig13               # export a Perfetto/Chrome trace
     repro-exp faults trace-loss         # faulted playback + guard report
     repro-exp fleet run cdn.toml --jobs 8 --stream out.jsonl
@@ -27,12 +26,19 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import sys
 
 from repro.experiments import REGISTRY
 
 
-def _parse_overrides(pairs: list[str]) -> dict:
+def _parse_overrides(pairs: list[str], target=None) -> dict:
+    """``key=value`` pairs as keyword arguments, for ``target`` if given.
+
+    A key that ``target``'s signature does not name is a usage error
+    listing the keys it does; a ``target`` taking ``**kwargs`` accepts
+    any key.
+    """
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -42,6 +48,15 @@ def _parse_overrides(pairs: list[str]) -> dict:
             out[key] = ast.literal_eval(raw)
         except (ValueError, SyntaxError):
             out[key] = raw
+    if target is None:
+        return out
+    params = inspect.signature(target).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return out
+    accepted = [p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    for key in out:
+        if key not in accepted:
+            raise SystemExit(f"unknown parameter {key!r}; accepted: {', '.join(accepted)}")
     return out
 
 
@@ -86,7 +101,7 @@ def _add_exec_flags(subparser) -> None:
 
 def _run_one(
     name: str,
-    overrides: dict,
+    pairs: list[str],
     csv_path: str | None = None,
     *,
     jobs: int = 1,
@@ -96,6 +111,7 @@ def _run_one(
 
     if name not in REGISTRY:
         raise SystemExit(f"unknown experiment {name!r}; try 'repro-exp list'")
+    overrides = _parse_overrides(pairs, REGISTRY[name].run)
     outcome = run_experiment(name, overrides, jobs=jobs, cache=cache)
     print(outcome.result.to_text())
     if outcome.cached:
@@ -138,13 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick",
         action="store_true",
         help="scaled-down parameters for the expensive sweeps (CI smoke setting)",
-    )
-    bench_p.add_argument(
-        "--micro",
-        action="store_true",
-        help="run the hot-path microbenchmarks instead of the experiment "
-        "sweep (positional args then select metrics: calendar, sim, "
-        "spectrum, detector, sim-obs, fastforward, fleet, tune)",
     )
     _add_exec_flags(bench_p)
     trace_p = sub.add_parser(
@@ -297,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         _run_one(
             args.experiment,
-            _parse_overrides(args.overrides),
+            args.overrides,
             csv_path=args.csv,
             jobs=args.jobs,
             cache=_make_cache(args),
@@ -343,8 +352,6 @@ def _bench(args) -> int:
     from repro.experiments.report import BENCH_QUICK_OVERRIDES, write_bench_json
     from repro.experiments.runner import run_many
 
-    if args.micro:
-        return _bench_micro(args)
     names = args.experiments or list(REGISTRY)
     for name in names:
         if name not in REGISTRY:
@@ -356,28 +363,6 @@ def _bench(args) -> int:
         print(f"{outcome.name:16s} {status}")
     path = args.output or time.strftime("BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime())
     write_bench_json(path, outcomes, overrides=overrides)
-    print(f"[bench report written to {path}]")
-    return 0
-
-
-def _bench_micro(args) -> int:
-    """Hot-path microbenchmark sweep; same BENCH_*.json schema, ``micro`` key."""
-    import time
-
-    from repro.bench.micro import MICRO_REGISTRY, run_micro
-    from repro.experiments.report import write_bench_json
-
-    names = args.experiments or list(MICRO_REGISTRY)
-    for name in names:
-        if name not in MICRO_REGISTRY:
-            raise SystemExit(
-                f"unknown microbenchmark {name!r}; known: {', '.join(MICRO_REGISTRY)}"
-            )
-    results = run_micro(names)
-    for r in results:
-        print(f"{r.name:10s} {r.value:18,.0f} {r.unit:10s} ({r.elapsed_s:.2f}s)")
-    path = args.output or time.strftime("BENCH_%Y%m%dT%H%M%SZ.json", time.gmtime())
-    write_bench_json(path, [], micro=results)
     print(f"[bench report written to {path}]")
     return 0
 
@@ -571,7 +556,8 @@ def _trace(args) -> int:
             f"unknown trace scenario {args.scenario!r}; "
             f"known: {', '.join(sorted(TRACE_SCENARIOS))}"
         )
-    telemetry = run_trace_scenario(args.scenario, _parse_overrides(args.overrides))
+    overrides = _parse_overrides(args.overrides, TRACE_SCENARIOS[args.scenario])
+    telemetry = run_trace_scenario(args.scenario, overrides)
     path = args.output or f"{args.scenario}.perfetto.json"
     write_chrome_trace(telemetry, path)
     cats = ", ".join(sorted(telemetry.span_categories()))
@@ -597,7 +583,9 @@ def _faults(args) -> int:
             f"unknown fault scenario {args.scenario!r}; "
             f"known: {', '.join(sorted(FAULT_SCENARIOS))}"
         )
-    run = run_fault_scenario(args.scenario, _parse_overrides(args.overrides))
+    run = run_fault_scenario(
+        args.scenario, _parse_overrides(args.overrides, FAULT_SCENARIOS[args.scenario])
+    )
     print(run.report_text())
     if args.output:
         from repro.obs.export import write_chrome_trace

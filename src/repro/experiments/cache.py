@@ -41,7 +41,6 @@ import pickle
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from repro.experiments.base import ExperimentResult
@@ -149,15 +148,6 @@ def package_digest() -> str:
     return _PACKAGE_DIGESTS[root]
 
 
-@dataclass
-class CacheEntry:
-    """What :meth:`ResultCache.get` hands back on a hit."""
-
-    result: ExperimentResult
-    created: float
-    elapsed_s: float | None
-
-
 class ResultCache:
     """On-disk pickle store for experiment results, keyed by content.
 
@@ -213,8 +203,12 @@ class ResultCache:
         d = self.root / name
         return d / f"{key}.pkl", d / f"{key}.json"
 
-    def get(self, name: str, key: str) -> CacheEntry | None:
-        """Load an entry; evicts and misses on any corruption."""
+    def get(self, name: str, key: str) -> ExperimentResult | None:
+        """Load an entry's result; evicts and misses on a corrupt pickle.
+
+        The ``.json`` sidecar is write-only provenance: a hit never reads
+        it, so a missing or garbled sidecar does not cost the entry.
+        """
         pkl, meta = self._paths(name, key)
         if not pkl.exists():
             self.misses += 1
@@ -224,9 +218,6 @@ class ResultCache:
                 result = pickle.load(fh)
             if not isinstance(result, ExperimentResult):
                 raise TypeError(f"cache entry holds {type(result).__name__}")
-            info = {}
-            if meta.exists():
-                info = json.loads(meta.read_text(encoding="utf-8"))
         except Exception:
             # corrupted / stale-format entry: evict and recompute
             for p in (pkl, meta):
@@ -238,11 +229,7 @@ class ResultCache:
         # LRU touch: a hit marks the entry recently used for eviction
         with contextlib.suppress(OSError):
             os.utime(pkl)
-        return CacheEntry(
-            result=result,
-            created=float(info.get("created", 0.0)),
-            elapsed_s=info.get("elapsed_s"),
-        )
+        return result
 
     def put(
         self,

@@ -128,7 +128,6 @@ def bench_payload(
     outcomes: list["RunOutcome"],
     *,
     overrides: Mapping[str, dict] | None = None,
-    micro: list | None = None,
 ) -> dict:
     """The machine-readable ``BENCH_*.json`` document.
 
@@ -136,9 +135,7 @@ def bench_payload(
     normalised across CI runners) plus one record per experiment with its
     wall-clock time, cache status, parameters and the full result data —
     enough for a downstream tool to diff both performance *and* output
-    between two commits.  ``micro`` optionally appends the hot-path
-    microbenchmark results (:mod:`repro.bench.micro`) under a ``micro``
-    key, one record per metric.
+    between two commits.
 
     The payload is strict JSON: non-finite floats (an experiment can
     legitimately report ``nan``, e.g. fig12 when no repetition detects a
@@ -167,8 +164,6 @@ def bench_payload(
             for o in outcomes
         ],
     }
-    if micro is not None:
-        payload["micro"] = [r.to_jsonable() for r in micro]
     return _strict_json(payload)
 
 
@@ -197,10 +192,9 @@ def write_bench_json(
     outcomes: list["RunOutcome"],
     *,
     overrides: Mapping[str, dict] | None = None,
-    micro: list | None = None,
 ) -> None:
     """Serialise :func:`bench_payload` to ``path``."""
-    payload = bench_payload(outcomes, overrides=overrides, micro=micro)
+    payload = bench_payload(outcomes, overrides=overrides)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")

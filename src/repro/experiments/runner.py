@@ -90,7 +90,7 @@ def run_experiment(
         hit = cache.get(name, key)
         if hit is not None:
             return RunOutcome(
-                name=name, result=hit.result, elapsed_s=0.0, cached=True, jobs=jobs, key=key
+                name=name, result=hit, elapsed_s=0.0, cached=True, jobs=jobs, key=key
             )
 
     start = time.perf_counter()
@@ -149,7 +149,7 @@ def run_many(
             hit = cache.get(name, key)
             if hit is not None:
                 outcomes[name] = RunOutcome(
-                    name=name, result=hit.result, elapsed_s=0.0, cached=True, jobs=jobs, key=key
+                    name=name, result=hit, elapsed_s=0.0, cached=True, jobs=jobs, key=key
                 )
                 continue
         pending.append(name)

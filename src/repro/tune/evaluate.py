@@ -174,10 +174,10 @@ class Evaluator:
         key = self._disk_key(workload_class, config)
         if key is None or self.cache is None:
             return None
-        entry = self.cache.get(CACHE_EXPERIMENT, key)
-        if entry is None or not entry.result.rows:
+        result = self.cache.get(CACHE_EXPERIMENT, key)
+        if result is None or not result.rows:
             return None
-        row = entry.result.rows[0]
+        row = result.rows[0]
         self.cache_hits += 1
         return {k: float(v) for k, v in row.items() if isinstance(v, (int, float))}
 

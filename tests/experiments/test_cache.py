@@ -108,10 +108,22 @@ class TestStorage:
         cache = ResultCache(tmp_path)
         result = _result(a=1, b=2.5)
         cache.put("fig06", "k1", result, kwargs={"reps": 2}, elapsed_s=1.25)
-        hit = cache.get("fig06", "k1")
-        assert hit is not None
-        assert hit.result == result
-        assert hit.elapsed_s == 1.25
+        assert cache.get("fig06", "k1") == result
+        assert cache.hits == 1 and cache.misses == 0
+        meta = json.loads((tmp_path / "fig06" / "k1.json").read_text())
+        assert meta["elapsed_s"] == 1.25
+
+    @pytest.mark.parametrize("sidecar", [None, b"{not json"])
+    def test_hit_does_not_need_the_sidecar(self, tmp_path, sidecar):
+        cache = ResultCache(tmp_path)
+        result = _result(a=1)
+        cache.put("fig06", "k1", result)
+        meta = tmp_path / "fig06" / "k1.json"
+        if sidecar is None:
+            meta.unlink()
+        else:
+            meta.write_bytes(sidecar)
+        assert cache.get("fig06", "k1") == result
         assert cache.hits == 1 and cache.misses == 0
 
     def test_miss_on_absent_key(self, tmp_path):
@@ -128,7 +140,7 @@ class TestStorage:
         assert not pkl.exists()  # evicted
         # a fresh put over the evicted slot works
         cache.put("fig06", "k1", _result(a=2))
-        assert cache.get("fig06", "k1").result.rows == [{"a": 2}]
+        assert cache.get("fig06", "k1").rows == [{"a": 2}]
 
     def test_truncated_pickle_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -156,7 +168,7 @@ class TestStorage:
         cache.put("fig06", "k1", _result(a=1))
         cache.put("fig06", "k1", _result(a=2))  # overwrite same key
         assert not list(tmp_path.rglob("*.tmp"))
-        assert cache.get("fig06", "k1").result.rows == [{"a": 2}]
+        assert cache.get("fig06", "k1").rows == [{"a": 2}]
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)

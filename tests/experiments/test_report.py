@@ -74,41 +74,3 @@ class TestBenchJson:
         text = path.read_text(encoding="utf-8")
         assert "NaN" not in text and "Infinity" not in text
         json.loads(text)  # the strict parser downstream consumers use
-
-
-class TestMicroPayload:
-    def test_micro_key_appended(self):
-        from repro.bench.micro import MicroResult
-
-        micro = [
-            MicroResult(
-                name="calendar", value=1e6, unit="ops/s",
-                elapsed_s=0.25, work=250_000, params={"n_rounds": 1},
-                extra={"leftover": 0},
-            )
-        ]
-        payload = bench_payload([], micro=micro)
-        assert payload["results"] == []
-        assert payload["micro"] == [micro[0].to_jsonable()]
-        json.dumps(payload)
-
-    def test_micro_key_absent_by_default(self):
-        payload = bench_payload([])
-        assert "micro" not in payload
-
-    def test_micro_non_finite_coerced(self, tmp_path):
-        from repro.bench.micro import MicroResult
-
-        micro = [
-            MicroResult(
-                name="x", value=float("inf"), unit="ops/s",
-                elapsed_s=0.0, work=0, extra={"peak": float("nan")},
-            )
-        ]
-        path = tmp_path / "BENCH_micro_nan.json"
-        write_bench_json(path, [], micro=micro)
-        text = path.read_text(encoding="utf-8")
-        assert "NaN" not in text and "Infinity" not in text
-        doc = json.loads(text)
-        assert doc["micro"][0]["value"] is None
-        assert doc["micro"][0]["extra"]["peak"] is None

@@ -122,6 +122,25 @@ class TestPeriodicEquivalence:
         assert report.cycles_skipped > 0 and report.skipped_ns > 0
         assert ff == full
 
+    def test_long_horizon_moments_match_by_float_bits(self):
+        # 60 s replays hundreds of skipped cycles through add_cycles; the
+        # Welford accumulators must match stepping in their raw bits (the
+        # digest sees M2 only through std), and so must the switch count
+        # and the scheduler's cycle counters
+        def outputs(kernel):
+            moments = [
+                (lat.n, lat.total, lat.max, lat._mean.hex(), lat._m2.hex())
+                for lat in (p.sched_latency for _, p in sorted(kernel.processes.items()))
+            ]
+            return kernel.stats.context_switches, moments, kernel.scheduler.cycle_counters()
+
+        until = 60 * SEC
+        k_full = build_scenario("periodic-cbs-background")
+        k_full.run(until)
+        k_ff = build_scenario("periodic-cbs-background")
+        assert run_fast_forward(k_ff, until).cycles_skipped > 100
+        assert outputs(k_ff) == outputs(k_full)
+
     def test_final_state_digest_matches(self):
         # beyond the trace digest: the complete normalised simulator state
         # (calendar, segments, scheduler) is identical after a skip

@@ -30,6 +30,20 @@ class TestOverrideParsing:
         with pytest.raises(SystemExit):
             _parse_overrides(["oops"])
 
+    @pytest.mark.parametrize(
+        ("verb", "target", "accepted"),
+        [
+            ("run", "fig01", "t_step_ms"),
+            ("trace", "fig13", "n_frames"),
+            ("faults", "trace-loss", "intensity"),
+        ],
+    )
+    def test_unknown_key_is_a_usage_error(self, verb, target, accepted):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, target, "nosuch=1"])
+        assert "unknown parameter 'nosuch'" in str(exc.value)
+        assert accepted in str(exc.value)
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -149,34 +163,6 @@ class TestBench:
     def test_bench_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["bench", "fig99"])
-
-
-class TestBenchMicro:
-    def test_micro_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_micro.json"
-        assert main(["bench", "--micro", "calendar", "detector", "--output", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-bench/1"
-        assert payload["results"] == []  # no experiment sweep in micro mode
-        names = [m["name"] for m in payload["micro"]]
-        assert names == ["calendar", "detector"]
-        for record in payload["micro"]:
-            assert record["value"] > 0
-            assert record["elapsed_s"] > 0
-            assert record["work"] > 0
-            json.dumps(record)  # strict JSON
-        out = capsys.readouterr().out
-        assert "calendar" in out and "ops/s" in out
-
-    def test_micro_unknown_metric(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--micro", "nosuch"])
-
-    def test_micro_units(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_units.json"
-        assert main(["bench", "--micro", "detector", "--output", str(out_path)]) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["micro"][0]["unit"] == "pairs/s"
 
 
 class TestTrace:
