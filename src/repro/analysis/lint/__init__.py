@@ -18,9 +18,11 @@ Rule packs
 - **SC (simulation contracts)** — invariants of the DES kernel: syscall
   instructions must be ``yield``-ed, calendar closures must not capture
   loop variables, ``__slots__`` classes must not be monkey-patched.
-- **MP (multiprocessing safety)** — invariants of the PR-1 process-pool
-  harness: ``map_fn`` work callables must be module-level picklables and
-  must not rebind module globals.
+- **MP (multiprocessing safety)** — ``map_fn`` work callables must be
+  module-level picklables.
+- **OB / CC / KN (interprocedural)** — telemetry guards stay read-only,
+  pool workers reach no module state or shared RNG, knob keys resolve
+  in the registry; all three query the whole-project call graph.
 - **WV (waivers)** — the audit trail itself: every inline waiver
   (``# repro: allow[RULE]  -- reason``) must carry a reason and must
   actually suppress something.

@@ -1,27 +1,25 @@
 """Whole-project call graph and per-function effect summaries.
 
-This is the interprocedural layer under the OB/CC/KN/FF rule packs.
+This is the interprocedural layer under the OB/CC/KN rule packs.
 Extraction (:func:`extract_module_facts`) is purely syntactic and
-per-module — it never imports the scanned code and its output
-(:class:`ModuleFacts`) is JSON-serialisable, which is what makes the
-incremental cache (:mod:`repro.analysis.lint.cache`) possible: a module
-whose source digest is unchanged contributes its cached facts without
-being re-parsed.  Combination (:func:`combine_facts`) then resolves
-call references into a project-wide graph and propagates *effect
-summaries* transitively through it.
+per-module — it never imports the scanned code.  Combination
+(:func:`combine_facts`) then resolves call references into a
+project-wide graph and propagates *effect summaries* transitively
+through it.
 
-An effect summary classifies every function as a combination of
+An effect summary records, per function, whether its call closure
 
-- **pure** — no state reads, no writes, no IO;
-- **reads-sim-state** — reads attributes or module globals;
-- **writes-sim-state** — writes an attribute of a shared object (or
+- **writes sim state** — writes an attribute of a shared object (or
   mutates one in place via ``.append``/``.update``/...) outside the
   telemetry namespace; ``self.x = ...`` inside ``__init__`` is exempt
   (initialising a fresh object is not mutating existing state), as are
   writes to ``_obs*``-prefixed attributes (the telemetry hub's reserved
   namespace) and any write performed inside ``repro/obs/`` itself;
-- **writes-global-state** — rebinds or mutates a module-level name;
-- **performs-IO** — calls into the filesystem / process / console APIs.
+- **writes global state** — rebinds or mutates a module-level name,
+  including a store through its attribute or subscript chain
+  (``STATE.x = v``, ``STATE.items[k].x = v``);
+- **reads a module-level RNG** — loads a module global bound to an RNG
+  instance, directly or through an import.
 
 Propagation is a monotone fixed point over the call graph: a witness
 *chain* (caller → ... → writer) is recorded once per function and never
@@ -35,12 +33,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.analysis.lint.astutil import (
     annotation_is_set,
     import_aliases,
     iter_child_nodes_compat,
+    resolve_dotted,
 )
 
 #: In-place mutator methods: calling one on an attribute or a module
@@ -95,25 +93,6 @@ METHOD_EDGE_STOPLIST = frozenset(
     }
 )
 
-#: Direct IO by callable name / dotted prefix.
-IO_NAME_CALLS = frozenset({"open", "print", "input"})
-IO_DOTTED_PREFIXES = ("os.", "shutil.", "subprocess.", "socket.", "urllib.", "http.")
-IO_METHODS = frozenset(
-    {
-        "write_text",
-        "read_text",
-        "write_bytes",
-        "read_bytes",
-        "mkdir",
-        "unlink",
-        "rmdir",
-        "touch",
-        "rename",
-        "replace",
-        "flush",
-    }
-)
-
 #: RNG constructors whose *instances* must not be shared across pool
 #: chunk boundaries (seeded or not: chunk-width changes consumption).
 RNG_CONSTRUCTORS = frozenset(
@@ -125,13 +104,6 @@ RNG_CONSTRUCTORS = frozenset(
         "numpy.random.Generator",
     }
 )
-
-#: Root classes of the scheduler taxonomy; their ``cycle_*`` bodies are
-#: the documented *defaults*, not implementations.
-SCHEDULER_ROOTS = frozenset({"Scheduler", "SmpScheduler"})
-
-#: The fast-forward conformance surface of :class:`repro.sched.base.Scheduler`.
-CYCLE_SURFACE = ("cycle_state", "shift_times", "cycle_periods", "cycle_counters")
 
 
 @dataclass(frozen=True)
@@ -149,22 +121,12 @@ class CallRef:
     name: str
     owner: str = ""
 
-    def to_json(self) -> list[str]:
-        """Serialise for the facts cache."""
-        return [self.kind, self.name, self.owner]
-
-    @staticmethod
-    def from_json(raw: list[str]) -> CallRef:
-        """Rebuild from :meth:`to_json` output."""
-        return CallRef(kind=raw[0], name=raw[1], owner=raw[2])
-
 
 @dataclass
 class FunctionFacts:
     """Per-function base facts extracted from one module."""
 
     qualname: str
-    lineno: int
     #: attribute names written through a non-``self`` receiver
     writes_attrs: list[str] = field(default_factory=list)
     #: attribute names written through a literal ``self`` receiver
@@ -172,87 +134,19 @@ class FunctionFacts:
     #: non-local names this function rebinds/mutates (module-level
     #: candidates; qualified against ``module_globals`` at combine time)
     writes_names: list[str] = field(default_factory=list)
-    #: non-local names read: ``["module", name]`` or ``["import", dotted]``
-    loads: list[list[str]] = field(default_factory=list)
+    #: non-local names read: ``("module", name)`` or ``("import", dotted)``
+    loads: list[tuple[str, str]] = field(default_factory=list)
     calls: list[CallRef] = field(default_factory=list)
-    reads_state: bool = False
-    io: bool = False
-
-    def to_json(self) -> dict[str, Any]:
-        """Serialise for the facts cache."""
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "writes_attrs": list(self.writes_attrs),
-            "writes_self_attrs": list(self.writes_self_attrs),
-            "writes_names": list(self.writes_names),
-            "loads": [list(item) for item in self.loads],
-            "calls": [c.to_json() for c in self.calls],
-            "reads_state": self.reads_state,
-            "io": self.io,
-        }
-
-    @staticmethod
-    def from_json(raw: dict[str, Any]) -> FunctionFacts:
-        """Rebuild from :meth:`to_json` output."""
-        return FunctionFacts(
-            qualname=raw["qualname"],
-            lineno=raw["lineno"],
-            writes_attrs=list(raw["writes_attrs"]),
-            writes_self_attrs=list(raw["writes_self_attrs"]),
-            writes_names=list(raw["writes_names"]),
-            loads=[list(item) for item in raw["loads"]],
-            calls=[CallRef.from_json(c) for c in raw["calls"]],
-            reads_state=raw["reads_state"],
-            io=raw["io"],
-        )
 
 
 @dataclass
 class ClassFacts:
-    """Per-class facts: bases, methods, conformance declarations."""
+    """Per-class facts: bases, methods, ``__slots__``."""
 
     name: str
-    lineno: int
     bases: list[str] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
     has_slots: bool = False
-    abstract: bool = False
-    #: ``cycle_defaults_ok = ("shift_times", ...)`` declaration, if any
-    cycle_defaults_ok: list[str] | None = None
-    #: ``cycle_ineligible = True`` declaration
-    cycle_ineligible: bool = False
-
-    def to_json(self) -> dict[str, Any]:
-        """Serialise for the facts cache."""
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-            "has_slots": self.has_slots,
-            "abstract": self.abstract,
-            "cycle_defaults_ok": (
-                None if self.cycle_defaults_ok is None else list(self.cycle_defaults_ok)
-            ),
-            "cycle_ineligible": self.cycle_ineligible,
-        }
-
-    @staticmethod
-    def from_json(raw: dict[str, Any]) -> ClassFacts:
-        """Rebuild from :meth:`to_json` output."""
-        return ClassFacts(
-            name=raw["name"],
-            lineno=raw["lineno"],
-            bases=list(raw["bases"]),
-            methods=list(raw["methods"]),
-            has_slots=raw["has_slots"],
-            abstract=raw["abstract"],
-            cycle_defaults_ok=(
-                None if raw["cycle_defaults_ok"] is None else list(raw["cycle_defaults_ok"])
-            ),
-            cycle_ineligible=raw["cycle_ineligible"],
-        )
 
 
 @dataclass
@@ -260,7 +154,6 @@ class ModuleFacts:
     """Everything the project-wide combiner needs from one module."""
 
     path: str
-    parse_failed: bool = False
     functions: list[FunctionFacts] = field(default_factory=list)
     classes: list[ClassFacts] = field(default_factory=list)
     #: module-level assigned names (the CC globals universe)
@@ -276,63 +169,10 @@ class ModuleFacts:
     #: string keys of a ``CONTROLLER_KNOBS = {...}`` literal, if defined
     knob_keys: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict[str, Any]:
-        """Serialise for the facts cache."""
-        return {
-            "path": self.path,
-            "parse_failed": self.parse_failed,
-            "functions": [f.to_json() for f in self.functions],
-            "classes": [c.to_json() for c in self.classes],
-            "module_globals": list(self.module_globals),
-            "module_rngs": list(self.module_rngs),
-            "aliases": dict(self.aliases),
-            "set_attrs": list(self.set_attrs),
-            "workers": [w.to_json() for w in self.workers],
-            "knob_keys": list(self.knob_keys),
-        }
-
-    @staticmethod
-    def from_json(raw: dict[str, Any]) -> ModuleFacts:
-        """Rebuild from :meth:`to_json` output."""
-        return ModuleFacts(
-            path=raw["path"],
-            parse_failed=raw["parse_failed"],
-            functions=[FunctionFacts.from_json(f) for f in raw["functions"]],
-            classes=[ClassFacts.from_json(c) for c in raw["classes"]],
-            module_globals=list(raw["module_globals"]),
-            module_rngs=list(raw["module_rngs"]),
-            aliases=dict(raw["aliases"]),
-            set_attrs=list(raw["set_attrs"]),
-            workers=[CallRef.from_json(w) for w in raw["workers"]],
-            knob_keys=list(raw["knob_keys"]),
-        )
-
 
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
-
-
-def _string_tuple(node: ast.expr) -> list[str] | None:
-    """A tuple/list literal of string constants, else ``None``."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    out: list[str] = []
-    for elt in node.elts:
-        if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
-            return None
-        out.append(elt.value)
-    return out
-
-
-def _is_abstract_def(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for deco in fn.decorator_list:
-        name = deco.id if isinstance(deco, ast.Name) else (
-            deco.attr if isinstance(deco, ast.Attribute) else None
-        )
-        if name in {"abstractmethod", "abstractproperty"}:
-            return True
-    return False
 
 
 def _local_names(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
@@ -412,7 +252,7 @@ class _ModuleExtractor:
                 if value is None:
                     continue
                 if isinstance(value, ast.Call):
-                    dotted = _dotted_of(value.func, aliases)
+                    dotted = resolve_dotted(value.func, aliases)
                     if dotted is not None and (
                         dotted in RNG_CONSTRUCTORS
                         or dotted.startswith(("random.", "numpy.random."))
@@ -462,7 +302,7 @@ class _ModuleExtractor:
                 self._visit_scope(child, class_stack=class_stack, func_stack=func_stack)
 
     def _class_facts(self, node: ast.ClassDef) -> None:
-        facts = ClassFacts(name=node.name, lineno=node.lineno)
+        facts = ClassFacts(name=node.name)
         for base in node.bases:
             if isinstance(base, ast.Name):
                 facts.bases.append(base.id)
@@ -471,33 +311,17 @@ class _ModuleExtractor:
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 facts.methods.append(stmt.name)
-                if _is_abstract_def(stmt):
-                    facts.abstract = True
-                continue
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "__slots__":
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
                     facts.has_slots = True
-                elif target.id == "cycle_defaults_ok" and value is not None:
-                    facts.cycle_defaults_ok = _string_tuple(value) or []
-                elif target.id == "cycle_ineligible" and value is not None:
-                    facts.cycle_ineligible = (
-                        isinstance(value, ast.Constant) and value.value is True
-                    )
         self.facts.classes.append(facts)
 
     # -- functions -------------------------------------------------------
     def _function_facts(
         self, fn: ast.FunctionDef | ast.AsyncFunctionDef, qual: str, class_name: str
     ) -> None:
-        facts = FunctionFacts(qualname=qual, lineno=fn.lineno)
+        facts = FunctionFacts(qualname=qual)
         locals_ = _local_names(fn)
         declared_global: set[str] = set()
         aliases = self.facts.aliases
@@ -510,17 +334,21 @@ class _ModuleExtractor:
                 facts.writes_attrs.append(target.attr)
 
         def note_store(target: ast.expr) -> None:
-            if isinstance(target, ast.Attribute):
-                note_attr_write(target)
-            elif isinstance(target, ast.Subscript):
-                base: ast.expr = target.value
-                if isinstance(base, ast.Attribute):
-                    note_attr_write(base)
-                elif isinstance(base, ast.Name) and base.id not in locals_:
-                    facts.writes_names.append(base.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
+            if isinstance(target, (ast.Tuple, ast.List)):
                 for elt in target.elts:
                     note_store(elt)
+                return
+            if isinstance(target, ast.Attribute):
+                note_attr_write(target)
+            elif isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute):
+                note_attr_write(target.value)
+            # a store anywhere down a non-local name's attribute/subscript
+            # chain (``STATE.x = v``, ``STATE.items[k].x = v``) writes that name
+            root = target
+            while isinstance(root, (ast.Attribute, ast.Subscript)):
+                root = root.value
+            if root is not target and isinstance(root, ast.Name) and root.id not in locals_:
+                facts.writes_names.append(root.id)
 
         for sub in _walk_own_body(fn):
             if isinstance(sub, ast.Global):
@@ -539,22 +367,17 @@ class _ModuleExtractor:
                         and target.id in declared_global
                     ):
                         facts.writes_names.append(target.id)
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                facts.reads_state = True
             elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 if sub.id in locals_:
                     continue
                 dotted = aliases.get(sub.id)
                 if dotted is not None:
-                    facts.loads.append(["import", dotted])
+                    facts.loads.append(("import", dotted))
                 else:
-                    facts.loads.append(["module", sub.id])
-                    facts.reads_state = True
+                    facts.loads.append(("module", sub.id))
             elif isinstance(sub, ast.Call):
                 self._note_call(sub, facts, locals_, class_name)
-        facts.loads = [
-            [kind, name] for kind, name in sorted({(it[0], it[1]) for it in facts.loads})
-        ]
+        facts.loads = sorted(set(facts.loads))
         facts.writes_attrs = sorted(set(facts.writes_attrs))
         facts.writes_self_attrs = sorted(set(facts.writes_self_attrs))
         facts.writes_names = sorted(set(facts.writes_names))
@@ -567,19 +390,11 @@ class _ModuleExtractor:
         locals_: set[str],
         class_name: str,
     ) -> None:
-        aliases = self.facts.aliases
         fn = node.func
-        dotted = _dotted_of(fn, aliases)
-        if dotted is not None and dotted.startswith(IO_DOTTED_PREFIXES):
-            facts.io = True
         if isinstance(fn, ast.Name):
-            if fn.id in IO_NAME_CALLS:
-                facts.io = True
             if fn.id == "map_fn" and node.args:
                 self._note_worker(node.args[0], class_name)
         elif isinstance(fn, ast.Attribute):
-            if fn.attr in IO_METHODS:
-                facts.io = True
             if fn.attr in MUTATOR_METHODS:
                 receiver = fn.value
                 if isinstance(receiver, ast.Attribute):
@@ -635,21 +450,6 @@ def _walk_own_body(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.AST]:
     return out
 
 
-def _dotted_of(node: ast.expr, aliases: dict[str, str]) -> str | None:
-    parts: list[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    root = aliases.get(cur.id)
-    if root is None:
-        return None
-    parts.append(root)
-    return ".".join(reversed(parts))
-
-
 def _inside_class_body(tree: ast.Module, target: ast.AST) -> bool:
     for cls in ast.walk(tree):
         if isinstance(cls, ast.ClassDef) and any(stmt is target for stmt in cls.body):
@@ -662,11 +462,6 @@ def extract_module_facts(path: str, tree: ast.Module) -> ModuleFacts:
     return _ModuleExtractor(path, tree).run()
 
 
-def failed_module_facts(path: str) -> ModuleFacts:
-    """Facts placeholder for a module that failed to parse."""
-    return ModuleFacts(path=path, parse_failed=True)
-
-
 # ---------------------------------------------------------------------------
 # combination: call graph + effect propagation
 # ---------------------------------------------------------------------------
@@ -674,75 +469,16 @@ def failed_module_facts(path: str) -> ModuleFacts:
 
 @dataclass(frozen=True)
 class EffectSummary:
-    """Transitive effect classification of one function.
+    """Transitive effects of one function.
 
-    The three ``*_chain`` fields are witness call paths (function ids,
-    ending in a human-readable ``attr:x`` / ``global:m::g`` / ``io``
-    token); ``None`` means the effect is absent.
+    Each field is a witness call path (function ids, ending in a
+    human-readable ``attr:x`` / ``global:m::g`` / ``rng:m::r`` token);
+    ``None`` means the effect is unreachable.
     """
 
-    reads_state: bool = False
     sim_write_chain: tuple[str, ...] | None = None
     global_write_chain: tuple[str, ...] | None = None
     rng_read_chain: tuple[str, ...] | None = None
-    io_chain: tuple[str, ...] | None = None
-
-    @property
-    def writes_sim_state(self) -> bool:
-        """Whether a shared-object attribute write is reachable."""
-        return self.sim_write_chain is not None
-
-    @property
-    def writes_global_state(self) -> bool:
-        """Whether a module-global rebind/mutation is reachable."""
-        return self.global_write_chain is not None
-
-    @property
-    def performs_io(self) -> bool:
-        """Whether filesystem/process/console IO is reachable."""
-        return self.io_chain is not None
-
-    @property
-    def pure(self) -> bool:
-        """No reads, no writes, no IO anywhere in the call closure."""
-        return not (
-            self.reads_state
-            or self.writes_sim_state
-            or self.writes_global_state
-            or self.performs_io
-        )
-
-    def classify(self) -> tuple[str, ...]:
-        """Stable labels for reports and docs (``("pure",)`` if clean)."""
-        labels: list[str] = []
-        if self.writes_sim_state:
-            labels.append("writes-sim-state")
-        if self.writes_global_state:
-            labels.append("writes-global-state")
-        if self.performs_io:
-            labels.append("performs-IO")
-        if self.reads_state and not labels:
-            labels.append("reads-sim-state")
-        return tuple(labels) if labels else ("pure",)
-
-
-@dataclass(frozen=True)
-class SchedulerSurface:
-    """Resolved fast-forward conformance surface of one scheduler class."""
-
-    cls: str
-    path: str
-    lineno: int
-    abstract: bool
-    #: ``CYCLE_SURFACE`` methods defined by the class or a project ancestor
-    defined: frozenset[str]
-    #: methods declared as intentionally relying on the base defaults
-    declared_defaults: frozenset[str]
-    #: ``True`` when ``cycle_defaults_ok`` was declared (even empty)
-    has_declaration: bool
-    ineligible: bool
-    #: methods the class's own body defines (for staleness checks)
-    own_defined: frozenset[str]
 
 
 def _module_dotted(path: str) -> str:
@@ -762,8 +498,7 @@ class ProjectGraph:
 
     Built once per lint run by :func:`combine_facts`; exposes the call
     graph (``edges``), the effect table (``effects``), the resolved
-    worker set (``workers``), the scheduler conformance surfaces
-    (``scheduler_surfaces``) and the knob-registry key set
+    worker set (``workers``) and the knob-registry key set
     (``knob_keys``).
     """
 
@@ -782,7 +517,6 @@ class ProjectGraph:
         self.edges: dict[str, tuple[str, ...]] = self._resolve_edges()
         self.effects: dict[str, EffectSummary] = self._propagate()
         self.workers: frozenset[str] = self._resolve_workers()
-        self.scheduler_surfaces: dict[str, SchedulerSurface] = self._scheduler_surfaces()
 
     # -- indexing --------------------------------------------------------
     def _index(self) -> None:
@@ -904,13 +638,10 @@ class ProjectGraph:
         rng_reads = sorted(self._rng_reads(fn, mod))
         if rng_reads:
             rng_chain = (fid, f"rng:{rng_reads[0]}")
-        io_chain: tuple[str, ...] | None = (fid, "io") if fn.io else None
         return EffectSummary(
-            reads_state=fn.reads_state,
             sim_write_chain=sim_chain,
             global_write_chain=global_chain,
             rng_read_chain=rng_chain,
-            io_chain=io_chain,
         )
 
     def _rng_reads(self, fn: FunctionFacts, mod: ModuleFacts) -> list[str]:
@@ -933,30 +664,21 @@ class ProjectGraph:
             changed = False
             for fid in sorted(effects):
                 current = effects[fid]
-                reads = current.reads_state
                 sim = current.sim_write_chain
                 glo = current.global_write_chain
                 rng = current.rng_read_chain
-                io = current.io_chain
                 for callee in self.edges.get(fid, ()):
                     if callee == fid:
                         continue
                     ce = effects[callee]
-                    reads = reads or ce.reads_state
                     if sim is None and ce.sim_write_chain is not None:
                         sim = (fid, *ce.sim_write_chain)
                     if glo is None and ce.global_write_chain is not None:
                         glo = (fid, *ce.global_write_chain)
                     if rng is None and ce.rng_read_chain is not None:
                         rng = (fid, *ce.rng_read_chain)
-                    if io is None and ce.io_chain is not None:
-                        io = (fid, *ce.io_chain)
                 updated = EffectSummary(
-                    reads_state=reads,
-                    sim_write_chain=sim,
-                    global_write_chain=glo,
-                    rng_read_chain=rng,
-                    io_chain=io,
+                    sim_write_chain=sim, global_write_chain=glo, rng_read_chain=rng
                 )
                 if updated != current:
                     effects[fid] = updated
@@ -971,59 +693,6 @@ class ProjectGraph:
             for ref in mod.workers:
                 found.update(self.resolve_ref(ref, path))
         return frozenset(found)
-
-    # -- scheduler conformance ------------------------------------------
-    def _scheduler_closure(self) -> set[str]:
-        closure = set(SCHEDULER_ROOTS)
-        before = -1
-        while before != len(closure):
-            before = len(closure)
-            for name, (cls, _path) in self.classes.items():
-                if set(cls.bases) & closure:
-                    closure.add(name)
-        return closure
-
-    def _scheduler_surfaces(self) -> dict[str, SchedulerSurface]:
-        closure = self._scheduler_closure()
-        surfaces: dict[str, SchedulerSurface] = {}
-        for name in sorted(closure - SCHEDULER_ROOTS):
-            entry = self.classes.get(name)
-            if entry is None:
-                continue
-            cls, path = entry
-            defined: set[str] = set()
-            declared: set[str] = set()
-            has_declaration = cls.cycle_defaults_ok is not None
-            ineligible = cls.cycle_ineligible
-            seen: set[str] = set()
-            queue = [name]
-            while queue:
-                current = queue.pop(0)
-                if current in seen or current in SCHEDULER_ROOTS:
-                    continue
-                seen.add(current)
-                centry = self.classes.get(current)
-                if centry is None:
-                    continue
-                ccls, _cpath = centry
-                defined.update(m for m in ccls.methods if m in CYCLE_SURFACE)
-                if ccls.cycle_defaults_ok is not None:
-                    declared.update(ccls.cycle_defaults_ok)
-                    has_declaration = True
-                ineligible = ineligible or ccls.cycle_ineligible
-                queue.extend(ccls.bases)
-            surfaces[name] = SchedulerSurface(
-                cls=name,
-                path=path,
-                lineno=cls.lineno,
-                abstract=cls.abstract,
-                defined=frozenset(defined),
-                declared_defaults=frozenset(declared),
-                has_declaration=has_declaration,
-                ineligible=ineligible,
-                own_defined=frozenset(m for m in cls.methods if m in CYCLE_SURFACE),
-            )
-        return surfaces
 
 
 def combine_facts(modules: list[ModuleFacts]) -> ProjectGraph:

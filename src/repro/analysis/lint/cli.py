@@ -10,19 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-from pathlib import Path
 
-from repro.analysis.lint.cache import AnalysisCache
-from repro.analysis.lint.engine import (
-    DEFAULT_SCOPE,
-    LintConfig,
-    LintReport,
-    lint_paths,
-)
+from repro.analysis.lint.engine import DEFAULT_SCOPE, LintConfig, LintReport, lint_paths
 from repro.analysis.lint.rules import RULES, select_rules
-from repro.analysis.lint.sarif import to_sarif
 
 
 #: Default lint target: the installed ``repro`` package source tree.
@@ -46,15 +37,9 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
         help="files or directories to lint (default: the repro package)",
     )
     parser.add_argument(
-        "--output",
-        choices=("text", "json", "sarif"),
-        default=None,
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
-        help="emit the machine-readable report (alias of --output json)",
+        help="emit the machine-readable report (schema v3)",
     )
     parser.add_argument(
         "--select",
@@ -66,25 +51,6 @@ def build_parser(parser: argparse.ArgumentParser | None = None) -> argparse.Argu
         "--strict",
         action="store_true",
         help="treat warnings as failures (the CI setting)",
-    )
-    parser.add_argument(
-        "--no-scope",
-        action="store_true",
-        help="apply every rule to every file, ignoring the default path scopes",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="incremental-analysis cache directory (warm runs re-analyse only changed files)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "run rules only on files reported by `git diff --name-only HEAD`; "
-            "unchanged files still feed the cross-file analysis"
-        ),
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
@@ -104,55 +70,11 @@ def list_rules_text() -> str:
     return "\n".join(lines)
 
 
-def changed_files() -> set[str]:
-    """Repo files touched since ``HEAD``, as cwd-relative posix paths.
-
-    Union of ``git diff --name-only HEAD`` (staged + unstaged) and
-    ``git ls-files --others --exclude-standard`` (new untracked files),
-    mapped from repo-root-relative to cwd-relative so they match
-    ``lint_paths`` report keys.
-    """
-    try:
-        root = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        listing = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as exc:
-        raise RuntimeError(f"git unavailable for --changed-only: {exc}") from exc
-    cwd = Path.cwd()
-    out: set[str] = set()
-    for line in (listing + untracked).splitlines():
-        name = line.strip()
-        if not name:
-            continue
-        path = Path(root) / name
-        try:
-            out.add(path.resolve().relative_to(cwd).as_posix())
-        except ValueError:
-            out.add(path.as_posix())
-    return out
-
-
 def run_lint(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the process exit code."""
     if args.list_rules:
         print(list_rules_text())
         return 0
-    output = args.output or ("json" if args.json else "text")
     try:
         rules = select_rules(
             [s.strip() for s in args.select.split(",") if s.strip()]
@@ -162,31 +84,15 @@ def run_lint(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = LintConfig(rules=tuple(rules), scoped=not args.no_scope)
-    cache = AnalysisCache(args.cache) if args.cache else None
-    restrict: set[str] | None = None
-    if args.changed_only:
-        try:
-            changed = changed_files()
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        restrict = {
-            key
-            for key in changed
-            if key.endswith(".py")
-        }
     try:
         report: LintReport = lint_paths(
-            args.paths or default_paths(), config=config, cache=cache, restrict=restrict
+            args.paths or default_paths(), config=LintConfig(rules=tuple(rules))
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if output == "json":
+    if args.json:
         print(json.dumps(report.to_json(), indent=2, allow_nan=False))
-    elif output == "sarif":
-        print(json.dumps(to_sarif(report.diagnostics), indent=2, allow_nan=False))
     else:
         print(report.render())
     return 1 if report.failed(strict=args.strict) else 0

@@ -4,9 +4,8 @@ The pre-pass extracts per-module :class:`~repro.analysis.lint.callgraph.ModuleFa
 (purely syntactic — it never imports the scanned code, so linting stays
 safe on broken or hostile sources) and combines them into a
 :class:`~repro.analysis.lint.callgraph.ProjectGraph`: the project call
-graph, transitive effect summaries, resolved pool-worker set, scheduler
-conformance surfaces and the knob-registry key set.  The classic symbol
-tables ride on top:
+graph, transitive effect summaries, resolved pool-worker set and the
+knob-registry key set.  The classic symbol tables ride on top:
 
 - ``slots_classes`` — names of classes whose body assigns ``__slots__``
   (rule SC003 flags monkey-patching these);
@@ -17,25 +16,13 @@ tables ride on top:
   ``set``/``frozenset`` anywhere in the project, so rule DT005 can flag
   ``for pid in server.members`` even when the class lives in another
   file.
-
-Because facts are JSON-serialisable and keyed by source digest, the
-incremental cache (:mod:`repro.analysis.lint.cache`) can skip extraction
-for unchanged modules and rebuild the combined context from stored
-facts.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.lint.callgraph import (
-    ModuleFacts,
-    ProjectGraph,
-    combine_facts,
-    extract_module_facts,
-    failed_module_facts,
-)
+from repro.analysis.lint.callgraph import ModuleFacts, ProjectGraph, combine_facts
 
 #: The instruction classes of :mod:`repro.sim.instructions`; seeds the
 #: instruction table so fixtures need not re-declare them.
@@ -50,10 +37,8 @@ class ProjectContext:
     instruction_classes: frozenset[str] = INSTRUCTION_SEEDS
     #: Attribute names known (project-wide) to hold ``set``/``frozenset``.
     set_attrs: frozenset[str] = frozenset()
-    #: Paths that failed to parse during the pre-pass (reported once).
-    unparsed: tuple[str, ...] = ()
     #: The resolved interprocedural view; ``None`` only for the bare
-    #: default context (rule unit tests), in which case the OB/CC/KN/FF
+    #: default context (rule unit tests), in which case the OB/CC/KN
     #: packs report nothing.
     graph: ProjectGraph | None = field(default=None, repr=False)
 
@@ -71,36 +56,16 @@ def _instruction_closure(modules: list[ModuleFacts]) -> frozenset[str]:
 
 
 def build_context_from_facts(modules: list[ModuleFacts]) -> ProjectContext:
-    """Combine extracted (or cache-restored) facts into a context."""
+    """Combine per-module facts into a context."""
     slots: set[str] = set()
     set_attrs: set[str] = set()
-    unparsed: list[str] = []
     for mod in modules:
-        if mod.parse_failed:
-            unparsed.append(mod.path)
         set_attrs.update(mod.set_attrs)
         slots.update(cls.name for cls in mod.classes if cls.has_slots)
     return ProjectContext(
         slots_classes=frozenset(slots),
         instruction_classes=_instruction_closure(modules),
         set_attrs=frozenset(set_attrs),
-        unparsed=tuple(sorted(unparsed)),
         graph=combine_facts(modules),
     )
 
-
-def build_context(sources: dict[str, str]) -> ProjectContext:
-    """Fold ``{path: source}`` into a :class:`ProjectContext`.
-
-    Extraction is per-module; combination (including the instruction
-    fixed point and effect propagation) happens once over all facts.
-    """
-    modules: list[ModuleFacts] = []
-    for path, source in sources.items():
-        try:
-            tree = ast.parse(source, filename=path)
-        except (SyntaxError, ValueError):
-            modules.append(failed_module_facts(path))
-            continue
-        modules.append(extract_module_facts(path, tree))
-    return build_context_from_facts(modules)

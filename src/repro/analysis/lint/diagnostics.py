@@ -9,7 +9,7 @@ JSON output feeds editor integrations that need precise anchors.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any
 
 
@@ -43,23 +43,10 @@ class Diagnostic:
     end_col: int | None = None
     waived: bool = False
     waiver_reason: str | None = None
-    extra: dict[str, Any] = field(default_factory=dict, compare=False)
 
     def with_waiver(self, reason: str | None) -> Diagnostic:
         """A copy marked as suppressed by an inline waiver."""
-        return Diagnostic(
-            rule=self.rule,
-            severity=self.severity,
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            message=self.message,
-            end_line=self.end_line,
-            end_col=self.end_col,
-            waived=True,
-            waiver_reason=reason,
-            extra=self.extra,
-        )
+        return replace(self, waived=True, waiver_reason=reason)
 
     def render(self) -> str:
         """Human-readable one-line form (``path:line:col RULE message``)."""

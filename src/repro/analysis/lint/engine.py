@@ -12,19 +12,13 @@ shrink, never silently rot.
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 from typing import Any
 
-from repro.analysis.lint.cache import AnalysisCache, facts_digest, source_digest
-from repro.analysis.lint.callgraph import (
-    ModuleFacts,
-    extract_module_facts,
-    failed_module_facts,
-)
+from repro.analysis.lint.callgraph import ModuleFacts, extract_module_facts
 from repro.analysis.lint.context import ProjectContext, build_context_from_facts
 from repro.analysis.lint.diagnostics import Diagnostic, Severity
 from repro.analysis.lint.rules import RULES, ParsedModule, Rule
@@ -73,14 +67,9 @@ WV002 = ("WV002", "waiver that suppresses nothing")
 
 @dataclass(frozen=True)
 class LintConfig:
-    """What to lint and how strictly to scope it."""
+    """Which rules to run."""
 
     rules: tuple[Rule, ...] = tuple(RULES.values())
-    #: Apply :data:`DEFAULT_SCOPE` path restrictions (tests disable this
-    #: to run any rule against arbitrary fixture paths).
-    scoped: bool = True
-    #: Audit waivers (WV001/WV002); fixture tests may disable.
-    audit_waivers: bool = True
 
 
 @dataclass
@@ -90,10 +79,6 @@ class LintReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     waivers: list[Waiver] = field(default_factory=list)
     files: int = 0
-    #: Files whose rules actually executed this run.
-    analysed: int = 0
-    #: Files served verbatim from the incremental cache's report layer.
-    cached: int = 0
 
     @property
     def errors(self) -> list[Diagnostic]:
@@ -117,18 +102,11 @@ class LintReport:
         return strict and bool(self.warnings)
 
     def to_json(self) -> dict[str, Any]:
-        """Machine-readable report (schema v2, see docs/static-analysis.md).
-
-        v2 adds the incremental-analysis counters ``analysed`` and
-        ``cached`` to both the top level and the summary block; the v1
-        fields are unchanged.
-        """
+        """Machine-readable report (schema v3, see docs/static-analysis.md)."""
         return {
-            "version": 2,
+            "version": 3,
             "tool": "repro.analysis.lint",
             "files": self.files,
-            "analysed": self.analysed,
-            "cached": self.cached,
             "diagnostics": [d.to_json() for d in self.diagnostics],
             "waivers": [
                 {
@@ -144,8 +122,6 @@ class LintReport:
                 "warnings": len(self.warnings),
                 "waived": len(self.waived),
                 "files": self.files,
-                "analysed": self.analysed,
-                "cached": self.cached,
             },
         }
 
@@ -154,15 +130,12 @@ class LintReport:
         lines = [d.render() for d in self.diagnostics if not d.waived]
         lines.append(
             f"{self.files} file(s): {len(self.errors)} error(s), "
-            f"{len(self.warnings)} warning(s), {len(self.waived)} waived "
-            f"({self.analysed} analysed, {self.cached} from cache)"
+            f"{len(self.warnings)} warning(s), {len(self.waived)} waived"
         )
         return "\n".join(lines)
 
 
-def _rule_applies(rule_id: str, path: str, config: LintConfig) -> bool:
-    if not config.scoped:
-        return True
+def _rule_applies(rule_id: str, path: str) -> bool:
     fragments = DEFAULT_SCOPE.get(rule_id)
     if fragments is None:
         return True
@@ -190,14 +163,6 @@ def _apply_waivers(
     return out
 
 
-def _config_key(config: LintConfig) -> str:
-    """Digest of the rule selection and engine flags (report-layer key)."""
-    parts = [rule.id for rule in config.rules]
-    parts += [f"scoped={config.scoped}", f"audit={config.audit_waivers}"]
-    payload = ",".join(parts)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def _parse_error_diag(path: str, exc: Exception) -> Diagnostic:
     lineno = getattr(exc, "lineno", 1) or 1
     offset = (getattr(exc, "offset", 1) or 1) - 1
@@ -214,63 +179,48 @@ def _parse_error_diag(path: str, exc: Exception) -> Diagnostic:
 def _lint_one_file(
     path: str,
     source: str,
-    tree: ast.Module | None,
+    tree: ast.Module,
     config: LintConfig,
     ctx: ProjectContext,
 ) -> tuple[list[Diagnostic], list[Waiver]]:
     """Run rules + waiver settlement on one parsed file."""
     file_diags: list[Diagnostic] = []
-    if tree is None:
-        # facts extraction already recorded the failure; re-parse just to
-        # recover the error's message and position for the diagnostic
-        try:
-            ast.parse(source, filename=path)
-        except (SyntaxError, ValueError) as exc:
-            file_diags.append(_parse_error_diag(path, exc))
-        return file_diags, []
     module = ParsedModule(path=path, source=source, tree=tree)
     for rule in config.rules:
-        if not _rule_applies(rule.id, path, config):
+        if not _rule_applies(rule.id, path):
             continue
         file_diags.extend(rule.check(module, ctx))
     file_diags.sort(key=lambda d: (d.line, d.col, d.rule))
     waivers = parse_waivers(source, path)
     used: set[Waiver] = set()
     file_diags = _apply_waivers(file_diags, waivers, used)
-    if config.audit_waivers:
-        selected_ids = {rule.id for rule in config.rules}
-        for waiver in waivers:
-            if waiver.reason is None:
-                file_diags.append(
-                    Diagnostic(
-                        rule=WV001[0],
-                        severity=Severity.ERROR,
-                        path=path,
-                        line=waiver.line,
-                        col=0,
-                        message=(
-                            "waiver without a reason; write "
-                            "`# repro: allow[RULE]  -- why`"
-                        ),
-                    )
+    selected_ids = {rule.id for rule in config.rules}
+    for waiver in waivers:
+        if waiver.reason is None:
+            file_diags.append(
+                Diagnostic(
+                    rule=WV001[0],
+                    severity=Severity.ERROR,
+                    path=path,
+                    line=waiver.line,
+                    col=0,
+                    message="waiver without a reason; write `# repro: allow[RULE]  -- why`",
                 )
-            # a waiver for a rule outside the selected set cannot be
-            # judged useless — its rule never ran (--select subsets)
-            judgeable = any(waiver.covers(rid) for rid in selected_ids)
-            if waiver not in used and judgeable:
-                file_diags.append(
-                    Diagnostic(
-                        rule=WV002[0],
-                        severity=Severity.ERROR,
-                        path=path,
-                        line=waiver.line,
-                        col=0,
-                        message=(
-                            f"waiver for {', '.join(waiver.rules)} "
-                            f"suppresses nothing; delete it"
-                        ),
-                    )
+            )
+        # a waiver for a rule outside the selected set cannot be
+        # judged useless — its rule never ran (--select subsets)
+        judgeable = any(waiver.covers(rid) for rid in selected_ids)
+        if waiver not in used and judgeable:
+            file_diags.append(
+                Diagnostic(
+                    rule=WV002[0],
+                    severity=Severity.ERROR,
+                    path=path,
+                    line=waiver.line,
+                    col=0,
+                    message=f"waiver for {', '.join(waiver.rules)} suppresses nothing; delete it",
                 )
+            )
     return file_diags, list(waivers)
 
 
@@ -279,81 +229,34 @@ def lint_sources(
     *,
     config: LintConfig | None = None,
     ctx: ProjectContext | None = None,
-    cache: AnalysisCache | None = None,
-    restrict: set[str] | None = None,
 ) -> LintReport:
     """Lint in-memory ``{path: source}`` files (the engine's heart).
 
-    Two phases.  **Facts**: every file is parsed (or served from the
-    cache's facts layer) so the interprocedural context sees the whole
-    project, ``restrict`` or not.  **Rules**: rules run per file —
-    skipped for files outside ``restrict`` (``--changed-only``), and
-    served from the cache's report layer when the file, the project
-    facts and the rule config all match a previous run.
+    Two phases.  **Facts**: every file is parsed so the interprocedural
+    context sees the whole project (a caller may pass a prebuilt
+    ``ctx`` instead).  **Rules**: rules run per file, then the file's
+    waivers are settled.
     """
     config = config or LintConfig()
-    report = LintReport()
+    report = LintReport(files=len(sources))
 
-    # Phase 1: per-module facts (cache-aware) + cross-file context.
-    digests: dict[str, str] = {}
-    trees: dict[str, ast.Module | None] = {}
+    trees: dict[str, ast.Module] = {}
     facts: list[ModuleFacts] = []
     for path, source in sources.items():
-        digest = source_digest(source)
-        digests[path] = digest
-        cached_facts = cache.facts_for(digest) if cache is not None else None
-        if cached_facts is not None and cached_facts.path == path:
-            facts.append(cached_facts)
-            continue
         try:
-            tree: ast.Module | None = ast.parse(source, filename=path)
-        except (SyntaxError, ValueError):
-            tree = None
-        trees[path] = tree
-        module_facts = (
-            failed_module_facts(path) if tree is None else extract_module_facts(path, tree)
-        )
-        facts.append(module_facts)
-        if cache is not None:
-            cache.store_facts(digest, module_facts)
+            trees[path] = ast.parse(source, filename=path)
+        except (SyntaxError, ValueError) as exc:
+            # a file that fails to parse contributes no facts
+            report.diagnostics.append(_parse_error_diag(path, exc))
+            continue
+        facts.append(extract_module_facts(path, trees[path]))
     if ctx is None:
         ctx = build_context_from_facts(facts)
 
-    # Phase 2: rules per file, report-layer cache consulted first.
-    checked = [p for p in sources if restrict is None or p in restrict]
-    report.files = len(checked)
-    project_key = facts_digest(facts) if cache is not None else ""
-    config_key = _config_key(config) if cache is not None else ""
-    for path in checked:
-        source = sources[path]
-        report_key = ""
-        if cache is not None:
-            raw_key = f"{digests[path]}:{project_key}:{config_key}"
-            report_key = hashlib.sha256(raw_key.encode("utf-8")).hexdigest()
-            hit = cache.report_for(report_key)
-            if hit is not None:
-                file_diags, waivers = hit
-                report.diagnostics.extend(file_diags)
-                report.waivers.extend(waivers)
-                report.cached += 1
-                continue
-        if path in trees:
-            tree = trees[path]
-        else:
-            # facts came from the cache, so the file was never parsed
-            # this run; parse it now for the rule phase
-            try:
-                tree = ast.parse(source, filename=path)
-            except (SyntaxError, ValueError):
-                tree = None
-        file_diags, waivers = _lint_one_file(path, source, tree, config, ctx)
+    for path, tree in trees.items():
+        file_diags, waivers = _lint_one_file(path, sources[path], tree, config, ctx)
         report.diagnostics.extend(file_diags)
         report.waivers.extend(waivers)
-        report.analysed += 1
-        if cache is not None:
-            cache.store_report(report_key, file_diags, waivers)
-    if cache is not None:
-        cache.save()
     report.diagnostics.sort(key=lambda d: (d.path, d.line, d.col, d.rule))
     return report
 
@@ -389,36 +292,21 @@ def discover_files(paths: Iterable[str | os.PathLike[str]]) -> list[Path]:
             out.append(path)
         elif not path.exists():
             raise FileNotFoundError(f"no such file or directory: {path}")
-    seen: set[Path] = set()
-    unique: list[Path] = []
-    for path in out:
-        if path not in seen:
-            seen.add(path)
-            unique.append(path)
-    return unique
+    return list(dict.fromkeys(out))
 
 
 def lint_paths(
     paths: Iterable[str | os.PathLike[str]],
     *,
     config: LintConfig | None = None,
-    cache: AnalysisCache | None = None,
-    restrict: set[str] | None = None,
 ) -> LintReport:
-    """Lint files and directories on disk.
-
-    ``restrict`` entries are matched against the same cwd-relative posix
-    keys the report uses; every discovered file still feeds the
-    cross-file context, restricted or not.
-    """
-    files = discover_files(paths)
+    """Lint files and directories on disk, keyed by cwd-relative posix path."""
     cwd = Path.cwd()
     sources: dict[str, str] = {}
-    for file in files:
+    for file in discover_files(paths):
         try:
-            rel = file.resolve().relative_to(cwd)
-            key = rel.as_posix()
+            key = file.resolve().relative_to(cwd).as_posix()
         except ValueError:
             key = file.as_posix()
         sources[key] = file.read_text(encoding="utf-8")
-    return lint_sources(sources, config=config, cache=cache, restrict=restrict)
+    return lint_sources(sources, config=config)

@@ -61,7 +61,6 @@ def _build_registry() -> dict[str, Rule]:
     from repro.analysis.lint.rules import (
         concurrency,
         determinism,
-        fastforward,
         knobpack,
         multiproc,
         observability,
@@ -76,7 +75,6 @@ def _build_registry() -> dict[str, Rule]:
         *observability.RULES,
         *concurrency.RULES,
         *knobpack.RULES,
-        *fastforward.RULES,
     ):
         if rule.id in registry:  # pragma: no cover - defensive
             raise ValueError(f"duplicate rule id {rule.id}")

@@ -1,13 +1,12 @@
 """CC pack: call-graph contracts for cross-process pool workers.
 
 The fleet engine, the experiment runner and the tuner all ship worker
-callables into ``ProcessPoolExecutor`` pools.  MP001/MP002 already
-police the *syntactic* shape (module-level def, no direct global
-mutation in the body); these rules use the resolved worker set and the
-transitive effect summaries to police what a worker *reaches*:
+callables into process pools.  MP001 already polices the *syntactic*
+shape (a module-level def); these rules use the resolved worker set
+and the transitive effect summaries to police what a worker *reaches*:
 
-- **CC001** — a worker's call closure mutates module-level state in
-  some callee.  Each pool process has its own copy of that state, so
+- **CC001** — a worker mutates module-level state, in its own body or
+  in any callee.  Each pool process has its own copy of that state, so
   the mutation silently diverges between jobs=1 and jobs=N.
 - **CC002** — a worker's call closure reads a module-level RNG
   instance.  Even a seeded RNG shared this way consumes differently as
@@ -51,20 +50,18 @@ def _chain_text(chain: tuple[str, ...]) -> str:
 def _check_cc001(
     rule: Rule, module: ParsedModule, ctx: ProjectContext
 ) -> Iterator[Diagnostic]:
-    """Flag workers whose *callees* mutate module-level state."""
+    """Flag workers whose call closure mutates module-level state."""
     graph = ctx.graph
     if graph is None:
         return
     for fid, fn in _worker_defs(module, ctx):
         chain = graph.effects[fid].global_write_chain
-        # a direct write (chain is just [worker, global:...]) is MP002's
-        # territory; this rule adds the interprocedural reach
-        if chain is not None and len(chain) > 2:
+        if chain is not None:
             yield rule.diagnostic(
                 module,
                 fn,
-                f"pool worker `{fn.name}` reaches a module-state mutation "
-                f"through its call graph: {_chain_text(chain)}",
+                f"pool worker `{fn.name}` mutates module state: {_chain_text(chain)}; "
+                "pass state through the work unit instead",
             )
 
 
@@ -122,9 +119,8 @@ CC001 = Rule(
     severity=Severity.ERROR,
     rationale=(
         "Each pool process owns a private copy of every module global; a "
-        "mutation reached anywhere in a worker's call closure therefore "
-        "diverges between jobs=1 and jobs=N even though the worker body "
-        "itself looks clean (which is all MP002 can see)."
+        "mutation in a worker, or anywhere in its call closure, therefore "
+        "diverges between jobs=1 and jobs=N."
     ),
     check=lambda module, ctx: _check_cc001(CC001, module, ctx),
 )

@@ -1,12 +1,11 @@
-"""MP pack — safety of the PR-1 process-pool harness.
+"""MP pack — picklability of work shipped to the process pool.
 
 The experiment runner fans work out over ``multiprocessing`` with the
 spawn/forkserver start methods; everything crossing the pool boundary is
 pickled.  A lambda or nested function handed to a ``map_fn`` hook dies
 with an opaque ``PicklingError`` only when ``--jobs > 1`` is actually
-used, and a worker that rebinds module globals produces results that
-differ between serial and sharded runs — exactly the bit-identity the
-harness promises.  Both hazards are statically visible.
+used, so MP001 flags it where it is written.  What a worker *does* once
+it runs (module-state writes, shared RNGs) is the CC pack's business.
 """
 
 from __future__ import annotations
@@ -17,14 +16,6 @@ from collections.abc import Iterator
 from repro.analysis.lint.context import ProjectContext
 from repro.analysis.lint.diagnostics import Severity
 from repro.analysis.lint.rules import ParsedModule, Rule
-
-
-def _module_level_defs(tree: ast.Module) -> set[str]:
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
 
 
 def _nested_defs(tree: ast.Module) -> set[str]:
@@ -80,76 +71,6 @@ def _check_picklable(module: ParsedModule, ctx: ProjectContext) -> Iterator:
             )
 
 
-def _module_level_names(tree: ast.Module) -> set[str]:
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return names
-
-
-def _check_global_mutation(module: ParsedModule, ctx: ProjectContext) -> Iterator:
-    tree = module.tree
-    worker_names = {
-        node.id
-        for node, _role in _map_fn_callables(tree)
-        if isinstance(node, ast.Name)
-    } & _module_level_defs(tree)
-    if not worker_names:
-        return
-    module_names = _module_level_names(tree)
-    for fn in tree.body:
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if fn.name not in worker_names:
-            continue
-        local_names = {
-            a.arg
-            for a in (
-                *fn.args.posonlyargs,
-                *fn.args.args,
-                *fn.args.kwonlyargs,
-            )
-        }
-        declared_global: set[str] = set()
-        for sub in ast.walk(fn):
-            if isinstance(sub, ast.Global):
-                declared_global.update(sub.names)
-                yield MP002.diagnostic(
-                    module,
-                    sub,
-                    f"pool worker `{fn.name}` declares "
-                    f"`global {', '.join(sub.names)}`; rebinding module "
-                    f"state in a worker diverges from the serial run (each "
-                    f"process mutates its own copy)",
-                )
-            elif isinstance(sub, (ast.Assign, ast.AugAssign)):
-                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                for target in targets:
-                    base = target
-                    while isinstance(base, (ast.Subscript, ast.Attribute)):
-                        base = base.value
-                    if (
-                        isinstance(base, ast.Name)
-                        and base is not target
-                        and base.id in module_names
-                        and base.id not in local_names
-                        and base.id not in declared_global
-                    ):
-                        yield MP002.diagnostic(
-                            module,
-                            target,
-                            f"pool worker `{fn.name}` mutates module-level "
-                            f"`{base.id}`; per-process copies diverge from "
-                            f"the serial run — pass state through the work "
-                            f"unit or use an explicit per-process memo",
-                        )
-
-
 MP001 = Rule(
     id="MP001",
     pack="MP",
@@ -162,17 +83,4 @@ MP001 = Rule(
     check=_check_picklable,
 )
 
-MP002 = Rule(
-    id="MP002",
-    pack="MP",
-    title="pool worker mutates module globals",
-    severity=Severity.ERROR,
-    rationale=(
-        "Each pool process mutates its own copy of module state, so sharded "
-        "results silently diverge from the serial run the harness promises "
-        "to reproduce bit-identically."
-    ),
-    check=_check_global_mutation,
-)
-
-RULES = (MP001, MP002)
+RULES = (MP001,)

@@ -37,7 +37,7 @@ def _parse_overrides(pairs: list[str], target=None) -> dict:
 
     A key that ``target``'s signature does not name is a usage error
     listing the keys it does; a ``target`` taking ``**kwargs`` accepts
-    any key.
+    any key.  ``map_fn`` is never an override: the runner owns that hook.
     """
     out = {}
     for pair in pairs:
@@ -53,7 +53,11 @@ def _parse_overrides(pairs: list[str], target=None) -> dict:
     params = inspect.signature(target).parameters.values()
     if any(p.kind is p.VAR_KEYWORD for p in params):
         return out
-    accepted = [p.name for p in params if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    accepted = [
+        p.name
+        for p in params
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY) and p.name != "map_fn"
+    ]
     for key in out:
         if key not in accepted:
             raise SystemExit(f"unknown parameter {key!r}; accepted: {', '.join(accepted)}")

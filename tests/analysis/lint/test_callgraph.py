@@ -1,13 +1,11 @@
-"""Call-graph engine tests: edges, effects, cycles, scheduler surface."""
+"""Call-graph engine tests: edges, effects, cycles, worker discovery."""
 
 from __future__ import annotations
 
 import ast
 
 from repro.analysis.lint.callgraph import (
-    CYCLE_SURFACE,
     EffectSummary,
-    ModuleFacts,
     ProjectGraph,
     extract_module_facts,
 )
@@ -36,8 +34,6 @@ def test_three_hop_transitive_sim_write():
         }
     )
     run = g.effects["repro/sim/a.py::Kernel.run"]
-    assert run.writes_sim_state
-    assert run.sim_write_chain is not None
     # three function hops plus the attribute sink marker
     assert run.sim_write_chain == (
         "repro/sim/a.py::Kernel.run",
@@ -62,7 +58,6 @@ def test_cross_module_edge_via_import():
         }
     )
     drive = g.effects["repro/sim/kern.py::drive"]
-    assert drive.writes_sim_state
     assert "repro/sim/helpers.py::poke" in drive.sim_write_chain
 
 
@@ -81,8 +76,8 @@ def test_cycle_tolerant_propagation_terminates():
     )
     ping = g.effects["repro/sim/cyc.py::ping"]
     pong = g.effects["repro/sim/cyc.py::pong"]
-    assert pong.writes_global_state
-    assert ping.writes_global_state  # reached through the cycle
+    assert pong.global_write_chain is not None
+    assert ping.global_write_chain is not None  # reached through the cycle
     # witness chains are finite even though the call graph is cyclic
     assert len(ping.global_write_chain) <= 4
 
@@ -98,27 +93,10 @@ def test_pure_function_classified_pure():
             )
         }
     )
-    assert g.effects["repro/sim/pure.py::halve"].pure
-    assert g.effects["repro/sim/pure.py::halve"].classify() == ("pure",)
-    # quarter reads module state (the `halve` binding) but writes nothing
-    quarter = g.effects["repro/sim/pure.py::quarter"]
-    assert not quarter.writes_sim_state
-    assert quarter.classify() == ("reads-sim-state",)
-
-
-def test_io_effect_propagates():
-    g = graph_of(
-        {
-            "repro/obs/sink.py": (
-                "def flush(rows):\n"
-                "    with open('out.csv', 'w') as fh:\n"
-                "        fh.write(str(rows))\n"
-                "def report(rows):\n"
-                "    flush(rows)\n"
-            )
-        }
-    )
-    assert g.effects["repro/obs/sink.py::report"].performs_io
+    # no write and no RNG read is reachable from either: both summaries
+    # are empty, reading the module-level `halve` binding included
+    assert g.effects["repro/sim/pure.py::halve"] == EffectSummary()
+    assert g.effects["repro/sim/pure.py::quarter"] == EffectSummary()
 
 
 def test_init_self_writes_are_exempt():
@@ -135,8 +113,8 @@ def test_init_self_writes_are_exempt():
     )
     init = g.effects["repro/sim/obj.py::Box.__init__"]
     put = g.effects["repro/sim/obj.py::Box.put"]
-    assert not init.writes_sim_state  # constructing a fresh object is pure-ish
-    assert put.writes_sim_state  # mutator method on an attribute is a write
+    assert init.sim_write_chain is None  # constructing a fresh object is pure-ish
+    assert put.sim_write_chain is not None  # mutator method on an attribute is a write
 
 
 def test_method_edges_resolve_through_self_mro():
@@ -155,7 +133,6 @@ def test_method_edges_resolve_through_self_mro():
     # Child.tick calls self.bump(); the owner-class MRO walk must
     # resolve it to the method inherited from Base
     tick = g.effects["repro/sched/pol.py::Child.tick"]
-    assert tick.writes_sim_state
     assert "repro/sched/pol.py::Base.bump" in tick.sim_write_chain
 
 
@@ -174,56 +151,25 @@ def test_worker_discovery_map_fn_kwarg():
     assert any(ref.name == "unit" for ref in facts.workers)
 
 
-def test_scheduler_surface_aggregation():
+def test_store_through_a_global_chain_writes_the_global():
     g = graph_of(
         {
-            "repro/sched/base.py": (
-                "class Scheduler:\n"
-                "    cycle_defaults_ok = ()\n"
-                "    cycle_ineligible = False\n"
-                "    def cycle_state(self):\n"
-                "        return ()\n"
-            ),
-            "repro/sched/mine.py": (
-                "from repro.sched.base import Scheduler\n"
-                "class Mine(Scheduler):\n"
-                "    cycle_defaults_ok = ('shift_times', 'cycle_periods', 'cycle_counters')\n"
-                "    def cycle_state(self):\n"
-                "        return (1,)\n"
-            ),
+            "repro/experiments/st.py": (
+                "STATE = make()\n"
+                "def flat(v):\n"
+                "    STATE.x = v\n"
+                "def deep(k, v):\n"
+                "    STATE.items[k].x = v\n"
+                "def local(obj, v):\n"
+                "    obj.items[0].x = v\n"
+            )
         }
     )
-    mine = g.scheduler_surfaces["Mine"]
-    assert "cycle_state" in mine.defined
-    missing = [m for m in CYCLE_SURFACE if m not in (mine.defined | mine.declared_defaults)]
-    assert not missing
-
-
-def test_module_facts_json_round_trip():
-    facts = extract_module_facts(
-        "repro/sim/rt.py",
-        ast.parse(
-            "import random\n"
-            "RNG = random.Random(7)\n"
-            "class C:\n"
-            "    __slots__ = ('x',)\n"
-            "    def m(self):\n"
-            "        self.x = 1\n"
-            "def f():\n"
-            "    C().m()\n"
-        ),
-    )
-    clone = ModuleFacts.from_json(facts.to_json())
-    assert clone.to_json() == facts.to_json()
-    assert clone.module_rngs == facts.module_rngs
-
-
-def test_effect_summary_classification_order():
-    io = EffectSummary(io_chain=("a",))
-    write = EffectSummary(sim_write_chain=("a",))
-    reads = EffectSummary(reads_state=True)
-    pure = EffectSummary()
-    assert io.classify() == ("performs-IO",)
-    assert write.classify() == ("writes-sim-state",)
-    assert reads.classify() == ("reads-sim-state",)
-    assert pure.classify() == ("pure",)
+    for name in ("flat", "deep"):
+        fid = f"repro/experiments/st.py::{name}"
+        chain = g.effects[fid].global_write_chain
+        assert chain == (fid, "global:repro/experiments/st.py::STATE")
+    # a chain rooted in a parameter writes that object, not module state
+    local = g.effects["repro/experiments/st.py::local"]
+    assert local.global_write_chain is None
+    assert local.sim_write_chain is not None

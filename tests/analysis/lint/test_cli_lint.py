@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.analysis.lint.cli import main as lint_main
+from repro.analysis.lint.cli import build_parser, main as lint_main
 from repro.cli import main as repro_main
 
 DIRTY = "import time\nt0 = time.time()\n"
@@ -40,42 +40,12 @@ def test_json_report_schema_via_repro_exp(dirty_file, capsys):
     code = repro_main(["lint", "--json", str(dirty_file)])
     assert code == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["tool"] == "repro.analysis.lint"
     assert doc["summary"]["errors"] == 1
-    assert doc["summary"]["analysed"] == 1
-    assert doc["summary"]["cached"] == 0
     (diag,) = doc["diagnostics"]
     assert diag["rule"] == "DT001"
     assert diag["line"] == 2
-
-
-def test_output_json_flag_matches_legacy_json(dirty_file, capsys):
-    assert lint_main(["--output", "json", str(dirty_file)]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 2
-
-
-def test_output_sarif_emits_valid_log(dirty_file, capsys):
-    assert lint_main(["--output", "sarif", str(dirty_file)]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == "2.1.0"
-    run = doc["runs"][0]
-    assert run["tool"]["driver"]["name"] == "repro.analysis.lint"
-    (result,) = [r for r in run["results"] if r["ruleId"] == "DT001"]
-    assert result["locations"][0]["physicalLocation"]["region"]["startLine"] == 2
-
-
-def test_cache_flag_warm_run_serves_from_cache(dirty_file, tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    assert lint_main(["--cache", str(cache_dir), "--json", str(dirty_file)]) == 1
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["summary"]["analysed"] == 1
-    assert lint_main(["--cache", str(cache_dir), "--json", str(dirty_file)]) == 1
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["summary"]["analysed"] == 0
-    assert warm["summary"]["cached"] == 1
-    assert warm["diagnostics"] == cold["diagnostics"]
 
 
 def test_select_glob_patterns(dirty_file, capsys):
@@ -107,30 +77,6 @@ def test_list_rules_catalogue(capsys):
         assert rule_id in out
 
 
-def test_changed_only_scopes_to_git_diff(tmp_path, capsys, monkeypatch):
-    import subprocess
-
-    repo = tmp_path / "proj"
-    pkg = repo / "repro" / "sim"
-    pkg.mkdir(parents=True)
-    committed = pkg / "stable.py"
-    committed.write_text(DIRTY, encoding="utf-8")
-    def git(*argv):
-        subprocess.run(["git", *argv], cwd=repo, check=True, capture_output=True)
-    git("init", "-q")
-    git("-c", "user.email=t@t", "-c", "user.name=t", "add", ".")
-    git("-c", "user.email=t@t", "-c", "user.name=t", "commit", "-q", "-m", "seed")
-    # a new dirty file is changed; the committed dirty file is not
-    edited = pkg / "fresh.py"
-    edited.write_text(DIRTY, encoding="utf-8")
-    monkeypatch.chdir(repo)
-    assert lint_main(["--changed-only", "--json", str(repo)]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    flagged = {d["path"] for d in doc["diagnostics"]}
-    assert flagged == {"repro/sim/fresh.py"}
-    assert doc["files"] == 1
-
-
 def test_strict_promotes_warnings(tmp_path, capsys):
     target = tmp_path / "repro" / "sim" / "warn.py"
     target.parent.mkdir(parents=True)
@@ -138,3 +84,8 @@ def test_strict_promotes_warnings(tmp_path, capsys):
     assert lint_main([str(target)]) == 0
     assert lint_main(["--strict", str(target)]) == 1
     capsys.readouterr()
+
+
+def test_parser_offers_only_the_four_flags():
+    flags = {opt for action in build_parser()._actions for opt in action.option_strings}
+    assert flags == {"-h", "--help", "--json", "--select", "--strict", "--list-rules"}

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.lint.diagnostics import Severity
 from repro.analysis.lint.engine import (
     DEFAULT_SCOPE,
-    LintConfig,
     discover_files,
     lint_source,
     lint_sources,
@@ -20,12 +19,6 @@ DIRTY = "import time\nt0 = time.time()\n"
 def test_scoped_rule_silent_outside_its_dirs():
     assert lint_source(DIRTY, path="repro/experiments/sweep.py") == []
     diags = lint_source(DIRTY, path="repro/sim/engine.py")
-    assert [d.rule for d in diags] == ["DT001"]
-
-
-def test_no_scope_config_applies_rules_everywhere():
-    config = LintConfig(scoped=False)
-    diags = lint_source(DIRTY, path="anywhere/at_all.py", config=config)
     assert [d.rule for d in diags] == ["DT001"]
 
 
@@ -44,17 +37,10 @@ def test_select_rules_by_id_and_pack():
 def test_report_json_schema():
     report = lint_sources({"repro/sim/x.py": DIRTY})
     doc = report.to_json()
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["tool"] == "repro.analysis.lint"
     assert doc["files"] == 1
-    assert doc["summary"] == {
-        "errors": 1,
-        "warnings": 0,
-        "waived": 0,
-        "files": 1,
-        "analysed": 1,
-        "cached": 0,
-    }
+    assert doc["summary"] == {"errors": 1, "warnings": 0, "waived": 0, "files": 1}
     (diag,) = doc["diagnostics"]
     assert diag["rule"] == "DT001"
     assert diag["path"] == "repro/sim/x.py"

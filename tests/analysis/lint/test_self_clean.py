@@ -5,33 +5,37 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
-from repro.analysis.lint.engine import lint_paths
+from repro.analysis.lint.engine import LintReport, lint_paths
 
 PKG_ROOT = Path(next(iter(repro.__path__)))
 BUDGET_FILE = Path(__file__).resolve().parents[3] / "scripts" / "waiver_budget.json"
 
 
-def test_src_repro_lints_clean():
-    report = lint_paths([PKG_ROOT])
+@pytest.fixture(scope="module")
+def report() -> LintReport:
+    """One lint run over the whole tree, shared by every test below."""
+    return lint_paths([PKG_ROOT])
+
+
+def test_src_repro_lints_clean(report):
     rendered = "\n".join(d.render() for d in report.errors + report.warnings)
     assert not report.errors, f"lint errors in src/repro:\n{rendered}"
     assert not report.warnings, f"lint warnings in src/repro:\n{rendered}"
 
 
-def test_all_waivers_carry_reasons():
-    report = lint_paths([PKG_ROOT])
+def test_all_waivers_carry_reasons(report):
     reasonless = [w for w in report.waivers if not w.reason]
     assert not reasonless, f"reason-less waivers: {reasonless}"
 
 
-def test_waiver_census_matches_pinned_budget():
+def test_waiver_census_matches_pinned_budget(report):
     # Every waiver in the tree is pinned per rule and per file in
     # scripts/waiver_budget.json; adding, removing or moving one means
-    # consciously updating the budget in the same change (the
-    # check_waivers.py CI gate enforces the same invariant outside the
-    # lint run's file scope).
-    report = lint_paths([PKG_ROOT])
+    # consciously updating the budget in the same change (the failure
+    # message prints the actual census to paste in).
     census: dict[str, dict[str, int]] = {}
     for waiver in report.waivers:
         # lint_paths keys are cwd-relative; normalise to repo-relative

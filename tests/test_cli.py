@@ -31,17 +31,25 @@ class TestOverrideParsing:
             _parse_overrides(["oops"])
 
     @pytest.mark.parametrize(
-        ("verb", "target", "accepted"),
+        ("verb", "target", "key", "accepted"),
         [
-            ("run", "fig01", "t_step_ms"),
-            ("trace", "fig13", "n_frames"),
-            ("faults", "trace-loss", "intensity"),
+            ("run", "fig01", "nosuch", "t_step_ms"),
+            ("trace", "fig13", "nosuch", "n_frames"),
+            ("faults", "trace-loss", "nosuch", "intensity"),
+            # in fig10.run's signature, but the runner owns the hook
+            ("run", "fig10", "map_fn", "seed"),
+        ],
+        ids=[
+            "run-fig01-t_step_ms",
+            "trace-fig13-n_frames",
+            "faults-trace-loss-intensity",
+            "run-fig10-map_fn-seed",
         ],
     )
-    def test_unknown_key_is_a_usage_error(self, verb, target, accepted):
+    def test_unknown_key_is_a_usage_error(self, verb, target, key, accepted):
         with pytest.raises(SystemExit) as exc:
-            main([verb, target, "nosuch=1"])
-        assert "unknown parameter 'nosuch'" in str(exc.value)
+            main([verb, target, f"{key}=1"])
+        assert f"unknown parameter {key!r}" in str(exc.value)
         assert accepted in str(exc.value)
 
 
