@@ -83,7 +83,7 @@ TIME_SINK_CTORS: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {
     "Syscall": ((1, 3), ("cost", "return_cost")),
     "SleepUntil": ((0,), ("wake_at",)),
     "SleepFor": ((0,), ("duration",)),
-    "Segment": ((1,), ("remaining", "entry_time")),
+    "Segment": ((1, 4), ("remaining", "entry_time")),
 }
 
 #: Integer-nanosecond sinks by *method* name (attribute calls).
@@ -94,7 +94,13 @@ TIME_SINK_METHODS: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {
     "push": ((0,), ("time",)),
     "spawn": ((), ("at",)),
     "run_until_exit": ((1,), ("hard_limit",)),
+    "refill": ((1, 4), ("remaining", "entry_time")),
 }
+
+#: Integer-nanosecond sinks by *stored attribute*: the kernel refills a
+#: process's segment in place, so a store (``seg.remaining = ...``,
+#: ``+=``) carries virtual time exactly as a constructor argument does.
+TIME_SINK_ATTRS = frozenset({"remaining", "entry_time", "wake_at"})
 
 
 def _check_wall_clock(module: ParsedModule, ctx: ProjectContext) -> Iterator:
@@ -159,8 +165,31 @@ def _sink_spec(node: ast.Call) -> tuple[tuple[int, ...], tuple[str, ...]] | None
     return None
 
 
+def _sink_store(node: ast.AST) -> tuple[str, ast.expr] | None:
+    """``(attribute, value)`` when ``node`` stores into a sink attribute."""
+    if isinstance(node, ast.Assign):
+        targets: list[ast.expr] = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return None
+    for target in targets:
+        if isinstance(target, ast.Attribute) and target.attr in TIME_SINK_ATTRS:
+            return (target.attr, node.value) if node.value is not None else None
+    return None
+
+
 def _check_float_time(module: ParsedModule, ctx: ProjectContext) -> Iterator:
     for node in ast.walk(module.tree):
+        store = _sink_store(node)
+        if store is not None and is_float_tainted(store[1]):
+            yield DT003.diagnostic(
+                module,
+                store[1],
+                f"float-tainted expression stored into the integer-ns field "
+                f"`.{store[0]}`; wrap it in `int(...)`/`round(...)` or use "
+                f"`repro.sim.time.from_seconds`",
+            )
         if not isinstance(node, ast.Call):
             continue
         spec = _sink_spec(node)

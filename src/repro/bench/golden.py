@@ -66,10 +66,11 @@ def equivalence_digest(
     """Run scenario ``name`` and digest trace + final state + metrics.
 
     Extends :func:`attach_digest` with per-process latency accumulators
-    (count, total, max, and the exact float mean/std reprs) and the
-    scheduler's monotone cycle counters (CBS consumed/exhaustions), so the
-    fast-forward extrapolation of :mod:`repro.sim.cycles` is held to the
-    same bit-identity bar as the stepped simulation.
+    (count, total, max, and the exact float mean/std reprs) and every CBS
+    server's counters and budget state (consumed, exhaustions, q,
+    deadline, throttled), so the fast-forward extrapolation of
+    :mod:`repro.sim.cycles` is held to the same bit-identity bar as the
+    stepped simulation.
 
     Returns ``(digest, report)``; ``report`` is the
     :class:`repro.sim.cycles.FastForwardReport` when ``fast_forward`` is
@@ -90,9 +91,15 @@ def equivalence_digest(
         sha.update(
             f"|lat:{pid}:{lat.n}:{lat.total}:{lat.max}:{lat.mean!r}:{lat.std!r}".encode()
         )
-    counters = kernel.scheduler.cycle_counters()
-    for key in sorted(counters):
-        sha.update(f"|ctr:{key}={counters[key]}".encode())
+    # read from each CBS server itself, not through the fast-forward
+    # surface (``cycle_counters``): a surface method gone missing would
+    # blind both sides of the comparison alike
+    servers = getattr(kernel.scheduler, "servers", {})
+    for sid in sorted(servers):
+        s = servers[sid]
+        sha.update(
+            f"|srv:{sid}:{s.consumed}:{s.exhaustions}:{s.q}:{s.deadline}:{s.throttled}".encode()
+        )
     return sha.hexdigest(), report
 
 

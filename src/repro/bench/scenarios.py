@@ -196,13 +196,65 @@ def _periodic_rr() -> Kernel:
     return kernel
 
 
+def _periodic_cbs_carryover() -> Kernel:
+    """One hard CBS server (4 ms every 12 ms) shared by two 16 ms tasks
+    released 8 ms apart.
+
+    The first job uses 3 ms of the budget, so when the second wakes the
+    server still holds a future deadline and too little budget for the
+    time left to it: the wake-up rule keeps the pair instead of
+    resetting it, and the second job exhausts the budget and waits for
+    the replenishment.  Every boundary (a multiple of the 48 ms
+    hyperperiod, or of 16 ms without the server period) falls between
+    the two releases, so the kept pair crosses every skip, and only a
+    relocated deadline keeps it after one.
+    """
+    scheduler = CbsScheduler()
+    kernel = Kernel(scheduler)
+    first = kernel.spawn(
+        "a", periodic_task(PeriodicTaskConfig(cost=3 * MS, period=16 * MS, phase=10 * MS, seed=31))
+    )
+    second = kernel.spawn(
+        "b",
+        periodic_task(PeriodicTaskConfig(cost=1500 * US, period=16 * MS, phase=18 * MS, seed=32)),
+    )
+    server = scheduler.create_server(
+        ServerParams(budget=4 * MS, period=12 * MS, policy="hard"), "ab"
+    )
+    scheduler.attach(first, server)
+    scheduler.attach(second, server)
+    return kernel
+
+
+def _periodic_edf_carryover() -> Kernel:
+    """EDF with a 10 ms job released 4 ms before every 32 ms boundary.
+
+    The job is still ready across the boundary when the 8 ms task's
+    next release arrives with the earlier deadline and preempts it; a
+    deadline left behind by a skip would keep it running instead.
+    """
+    scheduler = EdfScheduler()
+    kernel = Kernel(scheduler)
+    long_job = kernel.spawn(
+        "a", periodic_task(PeriodicTaskConfig(cost=10 * MS, period=32 * MS, phase=28 * MS, seed=33))
+    )
+    short_job = kernel.spawn(
+        "b", periodic_task(PeriodicTaskConfig(cost=1 * MS, period=8 * MS, phase=1 * MS, seed=34))
+    )
+    scheduler.attach(long_job, 32 * MS)
+    scheduler.attach(short_job, 8 * MS)
+    return kernel
+
+
 #: the eligible fast-forward scenarios: same policy spread as the golden
 #: set, over the purely periodic mix
 PERIODIC_SCENARIOS: dict[str, Callable[[], Kernel]] = {
     "periodic-cbs-hard": lambda: _periodic_cbs("hard"),
     "periodic-cbs-soft": lambda: _periodic_cbs("soft"),
     "periodic-cbs-background": lambda: _periodic_cbs("background"),
+    "periodic-cbs-carryover": _periodic_cbs_carryover,
     "periodic-edf": _periodic_edf,
+    "periodic-edf-carryover": _periodic_edf_carryover,
     "periodic-fp": _periodic_fp,
     "periodic-stride": _periodic_stride,
     "periodic-rr": _periodic_rr,

@@ -58,8 +58,17 @@ class _SampleStats(LatencyStats):
         self.threshold = threshold
 
     def add(self, latency: int) -> None:
-        super().add(latency)
-        self.hist[_bin_index(latency)] += 1
+        # one call per dispatch: :meth:`LatencyStats.add`'s arithmetic,
+        # the histogram bin and the miss tally, without nested calls
+        n = self.n + 1
+        self.n = n
+        self.total += latency
+        if latency > self.max:
+            self.max = latency
+        delta = latency - self._mean
+        self._mean += delta / n
+        self._m2 += delta * (latency - self._mean)
+        self.hist[min(latency.bit_length(), HIST_BINS - 1)] += 1
         if latency > self.threshold:
             self.misses += 1
 

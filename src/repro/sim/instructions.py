@@ -18,38 +18,81 @@ event fires) only after the process has been woken and scheduled again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.sim.syscalls import DEFAULT_COST_NS as _DEFAULT_COST
 from repro.sim.syscalls import SyscallNr, default_cost  # noqa: F401 - re-export
 
 
 class BlockSpec:
-    """Base class for the ways a syscall can suspend its caller."""
+    """Base class for the ways a syscall can suspend its caller.
+
+    The block specs are plain ``__slots__`` classes (not dataclasses):
+    periodic workloads build a ``SleepUntil`` per job.  They compare, hash
+    and print as the frozen dataclasses they replace, and are never
+    mutated: a program may yield one object many times.
+    """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class SleepUntil(BlockSpec):
     """Block until the absolute virtual time ``wake_at`` (ns)."""
 
-    wake_at: int
+    __slots__ = ("wake_at",)
+
+    def __init__(self, wake_at: int) -> None:
+        self.wake_at = wake_at
+
+    def __repr__(self) -> str:
+        return f"SleepUntil(wake_at={self.wake_at!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SleepUntil:
+            return NotImplemented
+        return self.wake_at == other.wake_at
+
+    def __hash__(self) -> int:
+        return hash((self.wake_at,))
 
 
-@dataclass(frozen=True)
 class SleepFor(BlockSpec):
     """Block for ``duration`` ns measured from the moment of blocking."""
 
-    duration: int
+    __slots__ = ("duration",)
+
+    def __init__(self, duration: int) -> None:
+        self.duration = duration
+
+    def __repr__(self) -> str:
+        return f"SleepFor(duration={self.duration!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SleepFor:
+            return NotImplemented
+        return self.duration == other.duration
+
+    def __hash__(self) -> int:
+        return hash((self.duration,))
 
 
-@dataclass(frozen=True)
 class WaitEvent(BlockSpec):
     """Block until :meth:`repro.sim.kernel.Kernel.fire_event` is called
     with the same ``key`` (models pipes, device readiness, futexes...)."""
 
-    key: str
+    __slots__ = ("key",)
+
+    def __init__(self, key: str) -> None:
+        self.key = key
+
+    def __repr__(self) -> str:
+        return f"WaitEvent(key={self.key!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not WaitEvent:
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash((self.key,))
 
 
 class Instruction:

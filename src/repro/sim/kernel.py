@@ -41,7 +41,7 @@ from repro.sim.instructions import (
     Syscall,
     WaitEvent,
 )
-from repro.sim.process import Process, ProcState, Program, Segment, SegmentKind
+from repro.sim.process import Process, ProcState, Program, SegmentKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.telemetry import Telemetry
@@ -55,9 +55,10 @@ class TracerHook(Protocol):
     ``traces`` is pure, and its answer for a process changes only through
     calls that notify every kernel the tracer is bound to with
     :meth:`Kernel.tracing_changed`.  :meth:`Kernel.run` asks it once per
-    pick and completes and fetches the syscalls of a process no tracer
-    traces inline; the notification ends that chain, so the next syscall
-    asks the tracers again.
+    pick and completes and fetches the syscalls (and the returns of
+    blocking calls) of a process no tracer traces inline; the
+    notification ends that chain, so the next syscall or return asks the
+    tracers again.
     """
 
     def bind(self, kernel: Kernel) -> None:
@@ -330,7 +331,7 @@ class Kernel:
     # ------------------------------------------------------------------
     def _do_compute(self, proc: Process, instr: Compute, now: int) -> None:
         if instr.duration > 0:
-            proc.segment = Segment(SegmentKind.USER, instr.duration)
+            proc.segment = proc.own_segment.refill(SegmentKind.USER, instr.duration)
 
     def _do_syscall(self, proc: Process, instr: Syscall, now: int) -> None:
         cost = instr.cost
@@ -343,7 +344,7 @@ class Kernel:
                 # self-filter identically, so behaviour is unchanged
                 if tracer.traces(proc):
                     cost += tracer.on_syscall_entry(proc, nr, now)
-        proc.segment = Segment(
+        proc.segment = proc.own_segment.refill(
             SegmentKind.SYSCALL, cost if cost > 1 else 1, instr, instr.block, now
         )
 
@@ -411,15 +412,13 @@ class Kernel:
         assert call is not None
         if kind is SegmentKind.SYSCALL:
             if seg.block is not None and self._block(proc, seg.block, now):
-                # blocking call: exit path runs after the wake-up
+                # blocking call: the finished segment becomes its return
+                # path (same call and entry stamp), run after the wake-up
                 ret = call.return_cost
-                proc.segment = Segment(
-                    SegmentKind.SYSCALL_RETURN,
-                    ret if ret > 1 else 1,
-                    call,
-                    None,
-                    seg.entry_time,
-                )
+                seg.kind = SegmentKind.SYSCALL_RETURN
+                seg.remaining = ret if ret > 1 else 1
+                seg.block = None
+                proc.segment = seg
                 return
             # non-blocking (or already-expired sleep): exit now
             self._finish_syscall(proc, call, now)
@@ -442,7 +441,7 @@ class Kernel:
         if extra > 0:
             # tracing cost on the exit path: burn it before the next
             # instruction is fetched
-            proc.segment = Segment(SegmentKind.USER, extra)
+            proc.segment = proc.own_segment.refill(SegmentKind.USER, extra)
             return
         self._fetch_next(proc)
 
@@ -491,12 +490,14 @@ class Kernel:
         - or the pick came with no bound (``None``: FP, EDF, a lone
           process under RR or stride), as stride's ``pick`` writes state.
 
-        Completing a ``Compute`` segment or a non-blocking ``Syscall``,
-        and fetching the next ``Compute`` or ``Syscall``, happen inline
-        while no attached tracer traces the process.  Each pick asks every
+        Completing a ``Compute`` segment, a non-blocking ``Syscall`` or a
+        blocking call's ``SYSCALL_RETURN``, and fetching the next
+        ``Compute`` or ``Syscall``, happen inline while no attached tracer
+        traces the process; the next instruction refills the finished
+        segment, the process's own, in place.  Each pick asks every
         tracer's ``traces`` once; a traced-set change raises ``_resched``
-        (see :class:`TracerHook`), and no syscall goes inline while it is
-        up.  Everything else (blocking calls, ``SYSCALL_RETURN``, traced
+        (see :class:`TracerHook`), and no syscall or return goes inline
+        while it is up.  Everything else (a blocking call's entry, traced
         processes, ``Fire``, ``Label``, program exit) goes through
         ``_complete_segment`` and ``_fetch_next``, the helpers the
         multicore kernel also uses.
@@ -641,35 +642,46 @@ class Kernel:
                     break
                 kind = segment.kind
                 if kind is user or (
-                    kind is in_kernel
-                    and segment.block is None
+                    segment.block is None
                     and (not tracers or (untraced and not self._resched))
                 ):
                     # inline ``_complete_segment``/``_finish_syscall``/
-                    # ``_fetch_next`` for the common case
-                    if kind is in_kernel:
+                    # ``_fetch_next`` for the common case: a Compute, a
+                    # non-blocking syscall or a blocking call's return
+                    # completes, and the next Compute or Syscall refills
+                    # the finished segment (the process's own) in place
+                    if kind is not user:
                         proc.syscall_count += 1
                         stats.syscalls += 1
-                    proc.segment = segment = None
+                    proc.segment = None
                     send = proc.program.send
                     while True:
                         try:
                             instr = send(clock)
                         except Exception as exc:  # noqa: BLE001 - crash containment
                             self._program_ended(proc, exc, clock)
+                            segment = None
                             break
                         # ``type(...) is`` (not ``__class__``) narrows for mypy
                         if type(instr) is Compute:
                             if instr.duration > 0:
-                                proc.segment = segment = Segment(user, instr.duration)
+                                segment.kind = user
+                                segment.remaining = instr.duration
+                                segment.syscall = None
+                                segment.block = None
+                                segment.entry_time = -1
+                                proc.segment = segment
                                 break
                         elif type(instr) is Syscall and (
                             not tracers or (untraced and not self._resched)
                         ):
                             cost = instr.cost
-                            proc.segment = segment = Segment(
-                                in_kernel, cost if cost > 1 else 1, instr, instr.block, clock
-                            )
+                            segment.kind = in_kernel
+                            segment.remaining = cost if cost > 1 else 1
+                            segment.syscall = instr
+                            segment.block = instr.block
+                            segment.entry_time = clock
+                            proc.segment = segment
                             break
                         else:
                             self._fetch_next(proc, instr)

@@ -40,8 +40,10 @@ class SegmentKind(enum.Enum):
 class Segment:
     """A contiguous slab of CPU work the process still has to perform.
 
-    A plain ``__slots__`` class rather than a dataclass: the kernel
-    allocates one per segment on the hottest path of the simulator.
+    Every process owns one for life (:attr:`Process.own_segment`), and
+    the kernel refills it in place for each new slab of work instead of
+    allocating: segments are made on the hottest path of the simulator.
+    Nothing may keep a reference to a segment across a refill.
     """
 
     __slots__ = ("kind", "remaining", "syscall", "block", "entry_time")
@@ -54,11 +56,23 @@ class Segment:
         block: BlockSpec | None = None,
         entry_time: int = -1,  # when the syscall entry was stamped
     ) -> None:
+        self.refill(kind, remaining, syscall, block, entry_time)
+
+    def refill(
+        self,
+        kind: SegmentKind,
+        remaining: int,
+        syscall: Syscall | None = None,
+        block: BlockSpec | None = None,
+        entry_time: int = -1,
+    ) -> Segment:
+        """Turn this segment into the next slab of work; returns it."""
         self.kind = kind
         self.remaining = remaining
         self.syscall = syscall
         self.block = block
         self.entry_time = entry_time
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -168,6 +182,7 @@ class Process:
         "crash",
         "sched_latency",
         "woken_at",
+        "own_segment",
     )
 
     def __init__(self, pid: int, name: str, program: Program) -> None:
@@ -175,7 +190,11 @@ class Process:
         self.name = name
         self.program = program
         self.state = ProcState.NEW
+        #: the work in progress: :attr:`own_segment` while the process
+        #: has CPU work pending, None when it must fetch an instruction
         self.segment: Segment | None = None
+        #: the one segment the kernel refills for this process
+        self.own_segment = Segment(SegmentKind.USER, 0)
         #: total CPU time consumed (user + kernel), ns
         self.cpu_time = 0
         #: wall-clock time the process exited, or None while alive

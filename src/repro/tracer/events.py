@@ -10,7 +10,6 @@ experiments can check the buffer was sized correctly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.sim.syscalls import SyscallNr
 
@@ -24,18 +23,38 @@ class EventKind(enum.Enum):
     BLOCK = "block"
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    """One timestamped kernel event."""
+    """One timestamped kernel event.
 
-    time: int
-    pid: int
-    nr: SyscallNr | None
-    kind: EventKind
+    A plain ``__slots__`` class (not a dataclass): a traced process makes
+    two per system call.  It compares and hashes by value, as the frozen
+    dataclass it replaces did, and is never mutated.
+    """
+
+    __slots__ = ("time", "pid", "nr", "kind")
+
+    def __init__(self, time: int, pid: int, nr: SyscallNr | None, kind: EventKind) -> None:
+        self.time = time
+        self.pid = pid
+        self.nr = nr
+        self.kind = kind
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         call = self.nr.value if self.nr is not None else "-"
         return f"TraceEvent({self.time}, pid={self.pid}, {call}, {self.kind.value})"
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not TraceEvent:
+            return NotImplemented
+        return (self.time, self.pid, self.nr, self.kind) == (
+            other.time,
+            other.pid,
+            other.nr,
+            other.kind,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.time, self.pid, self.nr, self.kind))
 
 
 class RingBuffer:
@@ -79,22 +98,22 @@ class RingBuffer:
 
     def drain(self) -> list[TraceEvent]:
         """Return all stored events oldest-first and empty the buffer."""
-        if self._count == 0:
-            return []
-        start = (self._head - self._count) % self.capacity
-        out: list[TraceEvent] = []
-        for i in range(self._count):
-            ev = self._slots[(start + i) % self.capacity]
-            assert ev is not None
-            out.append(ev)
-        self._slots = [None] * self.capacity
+        out = self.peek()
+        head, count = self._head, self._count
+        # only the live range holds events: every other slot is None
+        if count <= head:
+            self._slots[head - count : head] = [None] * count
+        else:
+            self._slots[head - count :] = [None] * (count - head)
+            self._slots[:head] = [None] * head
         self._head = 0
         self._count = 0
         return out
 
     def peek(self) -> list[TraceEvent]:
         """Like :meth:`drain` but non-destructive."""
-        if self._count == 0:
-            return []
-        start = (self._head - self._count) % self.capacity
-        return [self._slots[(start + i) % self.capacity] for i in range(self._count)]  # type: ignore[misc]
+        # the live range ends just before ``_head`` and wraps when longer
+        head, count = self._head, self._count
+        if count <= head:
+            return self._slots[head - count : head]  # type: ignore[return-value]
+        return self._slots[head - count :] + self._slots[:head]  # type: ignore[return-value]

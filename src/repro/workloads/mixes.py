@@ -9,9 +9,15 @@ trace reproduces the same histogram shape.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
+from typing import TypeVar
+
 import numpy as np
 
 from repro.sim.syscalls import SyscallNr
+
+_T = TypeVar("_T")
 
 #: Relative frequency of each call in an mplayer audio-playback trace.
 #: Dominated by ioctl per Figure 4; proportions are approximate (read off
@@ -40,17 +46,24 @@ _WEIGHTS = np.array([MPLAYER_CALL_MIX[c] for c in _CALLS])
 #: ``rng.choice(len(_CALLS), size=n, p=_WEIGHTS)``, so the draws are
 #: bit-identical to the original implementation — just without numpy's
 #: per-call validation of ``p``, which dominated the cost of short bursts.
-_CDF = _WEIGHTS.cumsum()
-_CDF /= _CDF[-1]
+#: Held as a Python list: ``bisect_right`` on it finds the index
+#: ``searchsorted(side="right")`` finds, without an array round trip.
+_cumsum = _WEIGHTS.cumsum()
+_CDF: list[float] = (_cumsum / _cumsum[-1]).tolist()
 
 
 def sample_call(rng: np.random.Generator) -> SyscallNr:
     """Draw one system call according to the mplayer mix."""
-    return _CALLS[int(_CDF.searchsorted(rng.random(), side="right"))]
+    return _CALLS[bisect_right(_CDF, rng.random())]
 
 
-def sample_burst(rng: np.random.Generator, n: int) -> list[SyscallNr]:
-    """Draw a burst of ``n`` calls according to the mplayer mix."""
-    idx = _CDF.searchsorted(rng.random(n), side="right")
-    calls = _CALLS
-    return [calls[i] for i in idx]
+def sample_burst(rng: np.random.Generator, n: int, table: Sequence[_T]) -> list[_T]:
+    """Draw a burst of ``n`` calls according to the mplayer mix.
+
+    Returns entries of ``table``, which holds one item per call of
+    :data:`MPLAYER_CALL_MIX`, in its order: the players pass their
+    prebuilt ``Syscall`` instructions, so a draw hashes no ``SyscallNr``
+    and builds no instruction.
+    """
+    cdf = _CDF
+    return [table[bisect_right(cdf, u)] for u in rng.random(n).tolist()]

@@ -24,6 +24,7 @@ player skips the sleep and decodes back-to-back until it catches up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ class AudioPlayerConfig:
             raise ValueError("costs must be non-negative")
         if self.writes_per_period < 1 or self.write_burst < 0:
             raise ValueError("writes_per_period must be >= 1 and write_burst >= 0")
+        if not (0 <= self.decode_jitter < math.inf and 0 <= self.release_jitter < math.inf):
+            raise ValueError("decode_jitter and release_jitter must be finite and >= 0")
 
     @property
     def frequency(self) -> float:
@@ -120,7 +123,10 @@ class AudioPlayer:
         # call was the single biggest allocation source of the simulator)
         gap = Compute(cfg.intra_burst_gap)
         ioctl = Syscall(SyscallNr.IOCTL)
-        burst_calls = {nr: Syscall(nr) for nr in MPLAYER_CALL_MIX}
+        burst_calls = [Syscall(nr) for nr in MPLAYER_CALL_MIX]
+        # ``loc + scale * standard_normal()`` is numpy's ``normal(loc,
+        # scale)`` to the bit, without its per-call argument handling
+        decode_scale = cfg.decode_jitter * cfg.decode_cost
         # release-grid position in a holder so fast-forward can relocate
         # the player; the grid index is re-read at every use
         grid = GridIndex()
@@ -132,7 +138,7 @@ class AudioPlayer:
                     slot_pos.index = s
                     slot = cfg.phase + grid.index * cfg.period + s * slot_len
                     if cfg.release_jitter > 0:
-                        slot += int(abs(rng.normal(0, cfg.release_jitter)))
+                        slot += int(abs(cfg.release_jitter * rng.standard_normal()))
                     # block until the device has room for the next chunk
                     yield Syscall(SyscallNr.CLOCK_NANOSLEEP, block=SleepUntil(slot))
                     if s == 0:
@@ -140,12 +146,10 @@ class AudioPlayer:
                             for _ in range(cfg.refill_reads):
                                 yield disk.read_instruction()
                         # once per period: fetch input, query clocks, decode
-                        for nr in sample_burst(rng, cfg.start_burst):
+                        for call in sample_burst(rng, cfg.start_burst, burst_calls):
                             yield gap
-                            yield burst_calls[nr]
-                        cost = max(
-                            1, int(rng.normal(cfg.decode_cost, cfg.decode_jitter * cfg.decode_cost))
-                        )
+                            yield call
+                        cost = max(1, int(cfg.decode_cost + decode_scale * rng.standard_normal()))
                         yield Compute(cost)
                     # push one device chunk (ioctl-heavy ALSA path)
                     for _ in range(cfg.write_burst):
@@ -201,6 +205,8 @@ class VideoPlayerConfig:
             raise ValueError("period must be positive")
         if not self.gop or any(c not in "IPB" for c in self.gop):
             raise ValueError(f"gop must be a non-empty string over 'IPB', got {self.gop!r}")
+        if not 0 <= self.decode_jitter < math.inf:
+            raise ValueError(f"decode_jitter must be finite and >= 0, got {self.decode_jitter}")
 
     def frame_cost(self, index: int) -> int:
         """Nominal decode cost of frame ``index`` per the GOP pattern."""
@@ -231,21 +237,25 @@ class VideoPlayer:
         rng = np.random.default_rng(cfg.seed)
         grid = GridIndex()
         gop_len = len(cfg.gop)
+        # loop-invariant instructions and per-GOP-position costs, built once
+        gap = Compute(cfg.intra_burst_gap)
+        burst_calls = [Syscall(nr) for nr in MPLAYER_CALL_MIX]
+        gop_costs = [cfg.frame_cost(i) for i in range(gop_len)]
 
         def body() -> Program:
             while n_frames is None or grid.index < n_frames:
                 target = cfg.phase + grid.index * cfg.period
                 # sleep only if we are ahead of the playback grid
-                now = yield Syscall(SyscallNr.CLOCK_NANOSLEEP, block=SleepUntil(target))
-                for nr in sample_burst(rng, cfg.start_burst):
-                    yield Compute(cfg.intra_burst_gap)
-                    yield Syscall(nr)
-                cost = cfg.frame_cost(grid.index)
-                cost = max(1, int(rng.normal(cost, cfg.decode_jitter * cost)))
+                yield Syscall(SyscallNr.CLOCK_NANOSLEEP, block=SleepUntil(target))
+                for call in sample_burst(rng, cfg.start_burst, burst_calls):
+                    yield gap
+                    yield call
+                cost = gop_costs[grid.index % gop_len]
+                cost = max(1, int(cost + cfg.decode_jitter * cost * rng.standard_normal()))
                 yield Compute(cost)
-                for nr in sample_burst(rng, cfg.end_burst):
-                    yield Compute(cfg.intra_burst_gap)
-                    yield Syscall(nr)
+                for call in sample_burst(rng, cfg.end_burst, burst_calls):
+                    yield gap
+                    yield call
                 # blit: the instant the user sees the frame
                 yield Label(cfg.display_label, {"frame": grid.index})
                 grid.index += 1

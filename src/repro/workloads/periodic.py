@@ -9,6 +9,7 @@ run inside its own static reservation (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class PeriodicTaskConfig:
             raise ValueError("cost and period must be positive")
         if self.cost > self.period:
             raise ValueError(f"cost {self.cost} exceeds period {self.period}")
+        if not 0 <= self.cost_jitter < math.inf:
+            raise ValueError(f"cost_jitter must be finite and >= 0, got {self.cost_jitter}")
 
     @property
     def utilisation(self) -> float:
@@ -59,6 +62,9 @@ def periodic_task(config: PeriodicTaskConfig, n_jobs: int | None = None) -> Prog
     # loop-invariant instructions built once (immutable to the kernel)
     clock_gettime = Syscall(SyscallNr.CLOCK_GETTIME)
     fixed_cost = Compute(cfg.cost)
+    # ``loc + scale * standard_normal()`` is numpy's ``normal(loc, scale)``
+    # to the bit, without its per-call argument handling
+    cost_scale = cfg.cost_jitter * cfg.cost
     # the release-grid position lives in a holder (not a generator local)
     # so the fast-forward layer can relocate the program on its grid
     grid = GridIndex()
@@ -71,7 +77,7 @@ def periodic_task(config: PeriodicTaskConfig, n_jobs: int | None = None) -> Prog
             for _ in range(before):
                 yield clock_gettime
             if cfg.cost_jitter > 0:
-                cost = max(1, int(rng.normal(cfg.cost, cfg.cost_jitter * cfg.cost)))
+                cost = max(1, int(cfg.cost + cost_scale * rng.standard_normal()))
                 yield Compute(cost)
             else:
                 yield fixed_cost

@@ -17,6 +17,7 @@ variable in real life).  Adopt the pair with
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -54,6 +55,8 @@ class VlcConfig:
     def __post_init__(self) -> None:
         if self.period <= 0 or self.queue_depth < 1:
             raise ValueError("period must be positive and queue_depth >= 1")
+        if not 0 <= self.decode_jitter < math.inf:
+            raise ValueError(f"decode_jitter must be finite and >= 0, got {self.decode_jitter}")
 
     @property
     def utilisation(self) -> float:
@@ -90,25 +93,33 @@ class VlcPlayer:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         grid = GridIndex()
+        # loop-invariant instructions, built once (immutable to the kernel)
+        wait_slot = Syscall(SyscallNr.FUTEX, block=WaitEvent(self._slot_free))
+        gap = Compute(cfg.intra_burst_gap)
+        read = Syscall(SyscallNr.READ)
+        frame_ready = Fire(self._frame_ready)
+        # ``loc + scale * standard_normal()`` is numpy's ``normal(loc,
+        # scale)`` to the bit, without its per-call argument handling
+        decode_scale = cfg.decode_jitter * cfg.decode_cost
 
         def body() -> Program:
             while n_frames is None or grid.index < n_frames:
                 while len(self._queue) >= cfg.queue_depth:
-                    yield Syscall(SyscallNr.FUTEX, block=WaitEvent(self._slot_free))
+                    yield wait_slot
                 for _ in range(cfg.decode_burst):
-                    yield Compute(cfg.intra_burst_gap)
-                    yield Syscall(SyscallNr.READ)
+                    yield gap
+                    yield read
                 if cfg.decode_jitter > 0:
-                    cost = max(1, int(rng.normal(cfg.decode_cost, cfg.decode_jitter * cfg.decode_cost)))
+                    cost = max(1, int(cfg.decode_cost + decode_scale * rng.standard_normal()))
                 else:
                     cost = cfg.decode_cost
                 yield Compute(cost)
                 self._queue.append(grid.index)
                 grid.index += 1
                 self.frames_decoded += 1
-                yield Fire(self._frame_ready)
+                yield frame_ready
             # guard against a lost wake-up racing the very last frame
-            yield Fire(self._frame_ready)
+            yield frame_ready
 
         def _advance(frames: int) -> None:
             grid.advance(frames)
@@ -133,19 +144,24 @@ class VlcPlayer:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed + 1)
         grid = GridIndex()
+        wait_frame = Syscall(SyscallNr.FUTEX, block=WaitEvent(self._frame_ready))
+        slot_free = Fire(self._slot_free)
+        gap = Compute(cfg.intra_burst_gap)
+        ioctl = Syscall(SyscallNr.IOCTL)
+        blit = Compute(cfg.blit_cost)
 
         def body() -> Program:
             while n_frames is None or grid.index < n_frames:
                 target = cfg.phase + grid.index * cfg.period
                 yield Syscall(SyscallNr.CLOCK_NANOSLEEP, block=SleepUntil(target))
                 while not self._queue:
-                    yield Syscall(SyscallNr.FUTEX, block=WaitEvent(self._frame_ready))
+                    yield wait_frame
                 self._queue.popleft()
-                yield Fire(self._slot_free)
+                yield slot_free
                 for _ in range(cfg.blit_burst):
-                    yield Compute(cfg.intra_burst_gap)
-                    yield Syscall(SyscallNr.IOCTL)
-                yield Compute(cfg.blit_cost)
+                    yield gap
+                    yield ioctl
+                yield blit
                 yield Label(cfg.display_label, {"frame": grid.index})
                 grid.index += 1
                 self.frames_displayed += 1

@@ -72,6 +72,13 @@ CORPUS = [
         "SC001",
         id="periodic-compute-not-yielded",
     ),
+    pytest.param(
+        "sim/kernel.py",
+        "segment.remaining = instr.duration\n",
+        "segment.remaining = instr.duration / 2\n",
+        "DT003",
+        id="kernel-refill-stores-a-float",
+    ),
 ]
 
 

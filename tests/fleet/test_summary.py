@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fleet.summary import (
     HIST_BINS,
@@ -11,7 +13,9 @@ from repro.fleet.summary import (
     SimSummary,
     _bin_index,
     _merge_moments,
+    _SampleStats,
 )
+from repro.sim.process import LatencyStats
 
 
 def _summary(**overrides) -> SimSummary:
@@ -49,6 +53,34 @@ def test_bin_index_bounds():
     assert _bin_index(3) == 2
     assert _bin_index((1 << 40)) == 41
     assert _bin_index(1 << 200) == HIST_BINS - 1  # clamps
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    latencies=st.lists(
+        st.one_of(
+            st.just(0),
+            st.integers(min_value=0, max_value=50_000_000),
+            st.integers(min_value=2**50, max_value=2**70),
+        ),
+        max_size=60,
+    ),
+    threshold=st.integers(min_value=0, max_value=20_000_000),
+)
+def test_sample_stats_add_is_the_three_step_update(latencies, threshold):
+    # the parent's formulation: LatencyStats.add, then the bin, then the
+    # miss tally, each its own step
+    stats, reference = _SampleStats(threshold), LatencyStats()
+    hist, misses = [0] * HIST_BINS, 0
+    for latency in latencies:
+        stats.add(latency)
+        reference.add(latency)
+        hist[_bin_index(latency)] += 1
+        misses += latency > threshold
+    assert (stats.n, stats.total, stats.max) == (reference.n, reference.total, reference.max)
+    assert stats._mean.hex() == reference._mean.hex()
+    assert stats._m2.hex() == reference._m2.hex()
+    assert (stats.hist, stats.misses) == (hist, misses)
 
 
 def test_merge_moments_matches_batch_welford():

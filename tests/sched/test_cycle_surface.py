@@ -148,3 +148,10 @@ def test_cbs_without_shift_times_is_flagged(monkeypatch):
 def test_edf_without_its_declaration_is_flagged(monkeypatch):
     monkeypatch.delattr(EdfScheduler, "cycle_defaults_ok")
     assert undeclared(EdfScheduler) == ["cycle_periods", "cycle_counters"]
+
+
+def test_cbs_without_cycle_periods_is_flagged(monkeypatch):
+    # the equivalence check cannot see this deletion: it only makes the
+    # boundary grid finer (tests/sim/test_fastforward.py)
+    monkeypatch.delattr(CbsScheduler, "cycle_periods")
+    assert undeclared(CbsScheduler) == ["cycle_periods"]

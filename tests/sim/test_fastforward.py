@@ -17,6 +17,8 @@ import pytest
 from repro.bench.golden import equivalence_digest
 from repro.bench.scenarios import GOLDEN_SCENARIOS, PERIODIC_SCENARIOS, build_scenario
 from repro.core.spectrum import replicate_series
+from repro.sched.cbs import CbsScheduler
+from repro.sched.edf import EdfScheduler
 from repro.sim import Kernel, MS, SEC
 from repro.sim.cycles import (
     MIN_BOUNDARIES,
@@ -152,6 +154,45 @@ class TestPeriodicEquivalence:
         assert report.detected
         assert k_ff.clock == k_full.clock == until
         assert state_digest(k_ff, until) == state_digest(k_full, until)
+
+
+def _skips_and_matches(name: str) -> bool:
+    """Whether fast-forward detects, skips and matches the full run."""
+    full, _ = equivalence_digest(name, 1 * SEC)
+    ff, report = equivalence_digest(name, 1 * SEC, fast_forward=True)
+    return report.detected and report.cycles_skipped > 0 and ff == full
+
+
+class TestSurfaceDeletions:
+    """Each fast-forward surface method a scheduler defines is exercised
+    by some periodic scenario: deleting it breaks the equivalence."""
+
+    @pytest.mark.parametrize(
+        ("cls", "method", "scenario"),
+        [
+            # the kept (q, deadline) pair crosses the boundary
+            (CbsScheduler, "shift_times", "periodic-cbs-carryover"),
+            # a ready job's deadline crosses the boundary
+            (EdfScheduler, "shift_times", "periodic-edf-carryover"),
+            # consumed/exhaustions, read from the servers by the digest
+            (CbsScheduler, "cycle_counters", "periodic-cbs-carryover"),
+            (CbsScheduler, "cycle_counters", "periodic-cbs-hard"),
+        ],
+    )
+    def test_deletion_breaks_equivalence(self, monkeypatch, cls, method, scenario):
+        assert _skips_and_matches(scenario)
+        monkeypatch.delattr(cls, method)
+        assert not _skips_and_matches(scenario)
+
+    def test_cycle_periods_only_sets_the_sampling_grid(self, monkeypatch):
+        # without the 12 ms server period the grid is every 16 ms, not
+        # every 48 ms: a superset of the boundaries, so the deletion can
+        # lose no detection and, as digest equality decides a cycle, no
+        # exactness; tests/sched/test_cycle_surface.py is its guard
+        monkeypatch.delattr(CbsScheduler, "cycle_periods")
+        _, report = equivalence_digest("periodic-cbs-carryover", 1 * SEC, fast_forward=True)
+        assert report.hyperperiod == 16 * MS
+        assert _skips_and_matches("periodic-cbs-carryover")
 
 
 class TestGoldenTransparency:

@@ -1,5 +1,7 @@
 """Unit tests for program instructions."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.sim.instructions import Compute, Fire, Label, SleepFor, SleepUntil, Syscall, WaitEvent
@@ -42,6 +44,48 @@ class TestSyscall:
         for nr in SyscallNr:
             assert default_cost(nr) > 0
             assert Syscall(nr).cost == default_cost(nr)
+
+
+# the frozen dataclasses the slotted block specs replaced, kept as the
+# reference for their equality, hash and repr
+@dataclass(frozen=True)
+class _SleepUntil:
+    wake_at: int
+
+
+@dataclass(frozen=True)
+class _SleepFor:
+    duration: int
+
+
+@dataclass(frozen=True)
+class _WaitEvent:
+    key: str
+
+
+class TestBlockSpecs:
+    @pytest.mark.parametrize(
+        ("spec", "reference", "values"),
+        [
+            (SleepUntil, _SleepUntil, [0, 1, 10**12, -5]),
+            (SleepFor, _SleepFor, [0, 500, 2**62]),
+            (WaitEvent, _WaitEvent, ["io", "", "vlc:3:frame"]),
+        ],
+    )
+    def test_match_the_dataclass_forms(self, spec, reference, values):
+        for value in values:
+            new, old = spec(value), reference(value)
+            assert repr(new) == repr(old).replace("_", "", 1)
+            assert hash(new) == hash(old)
+            assert new == spec(value) and not new != spec(value)
+            for other in values:
+                assert (new == spec(other)) == (old == reference(other))
+
+    def test_specs_of_different_kinds_differ(self):
+        assert SleepUntil(5) != SleepFor(5)
+        assert SleepFor(5) != 5
+        assert WaitEvent("a") != "a"
+        assert len({SleepUntil(5), SleepUntil(5), SleepFor(5)}) == 2
 
 
 class TestZeroTimeInstructions:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.scenarios import GOLDEN_DURATION_NS, build_scenario
 from repro.sched import RoundRobinScheduler
 from repro.sim import (
     Compute,
@@ -18,6 +19,7 @@ from repro.sim import (
     WaitEvent,
 )
 from repro.sim.instructions import Fire, Label
+from repro.sim.process import Segment
 
 
 def make_kernel(cs_cost=0):
@@ -410,3 +412,54 @@ class TestDeterminism:
             return tracer.entries
 
         assert build() == build()
+
+
+class TestSegmentRefill:
+    def test_one_segment_per_process_for_life(self, monkeypatch):
+        # the kernel refills each process's own segment in place, so a
+        # run builds one per process however many instructions it runs
+        # (the allocating kernel built 3,529 here: several per job)
+        made, blocked = [], []
+        init = Segment.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Segment, "__init__", counting_init)
+        kernel = build_scenario("cbs-background")
+        block = kernel._block
+
+        def counting_block(proc, spec, now):
+            blocked.append(block(proc, spec, now))
+            return blocked[-1]
+
+        kernel._block = counting_block
+        kernel.run(GOLDEN_DURATION_NS)
+        assert kernel.stats.syscalls > 1_000 and sum(blocked) > 100
+        # at most one per blocking call plus one per process; in fact one
+        # per process
+        assert len(made) <= sum(blocked) + len(kernel.processes)
+        assert len(made) == len(kernel.processes)
+
+    def test_segment_fields_are_whole_after_each_refill(self):
+        # a refill rewrites every field: a Compute after a blocking call
+        # leaves no syscall, block or entry stamp behind
+        k = make_kernel()
+        seen = []
+
+        def prog():
+            yield Syscall(SyscallNr.NANOSLEEP, block=SleepFor(1 * MS))
+            yield Compute(2 * MS)
+
+        proc = k.spawn("p", prog())
+        k.at(2 * MS, lambda now: seen.append(proc.segment))
+        k.run(10 * MS)
+        (segment,) = seen
+        assert segment is proc.own_segment
+        assert (segment.kind.value, segment.syscall, segment.block, segment.entry_time) == (
+            "user",
+            None,
+            None,
+            -1,
+        )

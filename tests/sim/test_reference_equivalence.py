@@ -596,6 +596,27 @@ class TestChainEnds:
         calls = _pair(Kernel, lambda: RoundRobinScheduler(timeslice=4 * MS), build)["extra"]
         assert [c[0] for c in calls] == ["entry", "exit", "entry", "exit"]
 
+    def test_traced_while_asleep_takes_the_exit_hook(self):
+        # untraced returns complete inline; a timer starts tracing the
+        # process while it sleeps, so its return must take the exit hook
+        def build(kernel, seen):
+            calls: list = []
+            tracer = _LoggingQTracer(calls)
+            kernel.add_tracer(tracer)
+            sleep = Syscall(SyscallNr.NANOSLEEP, cost=10 * US, block=SleepFor(1 * MS))
+            tail = [sleep] + [Compute(300 * US)] * 4
+            sleeper = kernel.spawn("sleeper", _computes(2, 300 * US, seen, tail))
+            kernel.at(1 * MS, lambda now: tracer.trace_pid(sleeper.pid))
+            kernel.spawn("other", _computes(12, 300 * US, seen))
+            return calls
+
+        def rr():
+            return RoundRobinScheduler(timeslice=4 * MS)
+
+        assert_chain_end(rr, build)
+        calls = _pair(Kernel, rr, build)["extra"]
+        assert [c[0] for c in calls] == ["exit"]
+
     def test_body_attaches_a_tracer_mid_chain(self):
         # a kernel with no tracer gains one that traces the running body
         def build(kernel, seen):

@@ -68,8 +68,48 @@ class TestRingBuffer:
         assert drained == times[-capacity:]
         assert rb.dropped == max(0, len(times) - capacity)
 
+    def test_wrapped_drain_is_oldest_first_and_clears_every_slot(self):
+        rb = RingBuffer(4)
+        for t in range(6):  # wraps: the head sits mid-buffer
+            rb.push(ev(t))
+        assert [e.time for e in rb.peek()] == [2, 3, 4, 5]
+        assert [e.time for e in rb.drain()] == [2, 3, 4, 5]
+        assert rb._slots == [None] * 4
+        for t in (6, 7, 8):
+            rb.push(ev(t))
+        assert [e.time for e in rb.drain()] == [6, 7, 8]
+        assert rb._slots == [None] * 4
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), max_size=12),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_drains_keep_counters_and_clear_the_buffer(self, bursts, capacity):
+        # interleaved bursts and drains: each drain returns the burst's
+        # newest ``capacity`` events, ``dropped`` counts the overwritten
+        # ones and ``total`` every push, and no event outlives its drain
+        rb = RingBuffer(capacity)
+        pushed = dropped = 0
+        for burst in bursts:
+            times = list(range(pushed, pushed + burst))
+            for t in times:
+                rb.push(ev(t))
+            pushed += burst
+            dropped += max(0, burst - capacity)
+            assert [e.time for e in rb.drain()] == times[-capacity:]
+            assert rb._slots == [None] * capacity
+            assert (rb.dropped, rb.total, len(rb)) == (dropped, pushed, 0)
+
 
 class TestTraceEvent:
+    def test_value_semantics(self):
+        e = TraceEvent(5, 42, SyscallNr.READ, EventKind.SYSCALL_EXIT)
+        assert e == TraceEvent(5, 42, SyscallNr.READ, EventKind.SYSCALL_EXIT)
+        assert e != TraceEvent(5, 42, SyscallNr.READ, EventKind.SYSCALL_ENTRY)
+        # the hash of the frozen dataclass it replaces
+        assert hash(e) == hash((5, 42, SyscallNr.READ, EventKind.SYSCALL_EXIT))
+        assert repr(e) == "TraceEvent(5, pid=42, read, exit)"
+
     def test_fields(self):
         e = TraceEvent(5, 42, SyscallNr.READ, EventKind.SYSCALL_EXIT)
         assert (e.time, e.pid, e.nr, e.kind) == (5, 42, SyscallNr.READ, EventKind.SYSCALL_EXIT)

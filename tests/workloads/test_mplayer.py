@@ -1,5 +1,7 @@
 """Tests for the mplayer workload models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,21 @@ class TestAudioPlayer:
         with pytest.raises(ValueError):
             AudioPlayerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"decode_jitter": -0.1},
+            {"decode_jitter": math.nan},
+            {"release_jitter": -1},
+            {"release_jitter": math.inf},
+        ],
+    )
+    def test_invalid_jitter(self, kwargs):
+        # a negative decode jitter used to kill the player mid-run with
+        # numpy's ``ValueError('scale < 0')``
+        with pytest.raises(ValueError, match="jitter"):
+            AudioPlayerConfig(**kwargs)
+
 
 class TestVideoPlayer:
     def test_gop_costs(self):
@@ -103,6 +120,11 @@ class TestVideoPlayer:
             VideoPlayerConfig(gop="IXZ")
         with pytest.raises(ValueError):
             VideoPlayerConfig(gop="")
+
+    @pytest.mark.parametrize("jitter", [-0.08, math.inf, math.nan])
+    def test_invalid_jitter(self, jitter):
+        with pytest.raises(ValueError, match="decode_jitter"):
+            VideoPlayerConfig(decode_jitter=jitter)
 
     def test_self_pacing_catches_up_after_stall(self):
         """Frames behind the grid are decoded back to back, not delayed

@@ -1,5 +1,7 @@
 """Tests for the two-thread vlc player model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,12 @@ class TestStandalone:
             VlcConfig(queue_depth=0)
         with pytest.raises(ValueError):
             VlcConfig(period=0)
+
+    @pytest.mark.parametrize("jitter", [-0.12, math.inf, math.nan])
+    def test_invalid_jitter(self, jitter):
+        # a negative jitter used to pass as "no jitter"
+        with pytest.raises(ValueError, match="decode_jitter"):
+            VlcConfig(decode_jitter=jitter)
 
     def test_utilisation(self):
         cfg = VlcConfig(decode_cost=9 * MS, blit_cost=1 * MS, period=40 * MS)
