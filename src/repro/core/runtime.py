@@ -2,7 +2,9 @@
 
 :class:`SelfTuningRuntime` owns the substrate — kernel, CBS scheduler,
 qtrace tracer — plus the supervisor, and exposes :meth:`adopt` to bring an
-unmodified legacy process under adaptive reservation control:
+unmodified legacy process under adaptive reservation control
+(:meth:`adopt_group` does the same for the threads of one application,
+and :meth:`adopt` is that path for a group of one):
 
 - a dedicated CBS server is created from the feedback law's initial
   request (granted through the supervisor),
@@ -17,7 +19,7 @@ against a pid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.core.analyser import AnalyserConfig, PeriodAnalyser
 from repro.core.controller import FeedbackLaw, ServerSample, TaskController, TaskControllerConfig
@@ -26,7 +28,6 @@ from repro.core.supervisor import Supervisor
 from repro.sched.cbs import CbsScheduler, Server, ServerParams
 from repro.sim.kernel import Kernel, KernelConfig
 from repro.sim.process import Process
-from repro.sim.syscalls import SyscallNr
 from repro.tracer.events import EventKind, TraceEvent
 from repro.tracer.qtrace import QTraceConfig, QTracer
 
@@ -111,7 +112,6 @@ class SelfTuningRuntime:
         feedback: FeedbackLaw | None = None,
         controller_config: TaskControllerConfig | None = None,
         analyser_config: AnalyserConfig | None = None,
-        traced_syscalls: Iterable[SyscallNr] | None = None,
         u_min: float = 0.0,
         weight: float = 1.0,
         period_hint: int | None = None,
@@ -120,29 +120,70 @@ class SelfTuningRuntime:
 
         Parameters mirror the knobs of the ``lfs++`` tool: which feedback
         law, the controller sampling period, the analyser's frequency grid
-        and horizon, an optional syscall filter, and the supervisor share
-        (``u_min``/``weight``).  ``period_hint`` seeds the reservation
-        period before the first spectrum result.
+        and horizon, and the supervisor share (``u_min``/``weight``).
+        ``period_hint`` seeds the reservation period before the first
+        spectrum result.  This is :meth:`adopt_group` of the one process,
+        named after it: the controller is ``proc.name``, the server
+        ``srv-<proc.name>``.
         """
-        if proc.pid in self.tasks:
-            raise ValueError(f"pid {proc.pid} already adopted")
+        return self.adopt_group(
+            [proc],
+            name=proc.name,
+            feedback=feedback,
+            controller_config=controller_config,
+            analyser_config=analyser_config,
+            u_min=u_min,
+            weight=weight,
+            period_hint=period_hint,
+        )
+
+    def adopt_group(
+        self,
+        procs: list[Process],
+        *,
+        name: str = "",
+        feedback: FeedbackLaw | None = None,
+        controller_config: TaskControllerConfig | None = None,
+        analyser_config: AnalyserConfig | None = None,
+        u_min: float = 0.0,
+        weight: float = 1.0,
+        period_hint: int | None = None,
+    ) -> AdoptedTask:
+        """Adopt a *multi-threaded* application: one reservation, many pids.
+
+        All processes share one CBS server (FIFO inside, as in §3.2's
+        multi-task reservation discussion); the analyser consumes the
+        merged event train of every thread, so the estimated period is the
+        group's dominant rate; the feedback law sees the server's
+        aggregate consumption.  Expect the §3.2/Figure 2 economics: a
+        shared reservation needs more bandwidth than dedicated per-thread
+        servers would.
+
+        The controller is called ``name`` (default ``group-<first>``) and
+        its server ``srv-<name>``.  Returns one :class:`AdoptedTask` whose
+        ``proc`` is the first member (the controller governs the whole
+        group).
+        """
+        if not procs:
+            raise ValueError("adopt_group needs at least one process")
+        for proc in procs:
+            if proc.pid in self.tasks:
+                raise ValueError(f"pid {proc.pid} already adopted")
+        name = name or f"group-{procs[0].name}"
         feedback = feedback if feedback is not None else LfsPlusPlus()
         controller_config = controller_config or TaskControllerConfig()
+        pids = [proc.pid for proc in procs]
 
         key = self.supervisor.register(u_min=u_min, weight=weight)
         initial = self.supervisor.submit(key, feedback.initial_request(period_hint))
-        server = self.scheduler.create_server(
-            ServerParams(
-                budget=initial.budget, period=initial.period, policy=self.reservation_policy
-            ),
-            name=f"srv-{proc.name}",
-        )
-        self.scheduler.attach(proc, server)
+        server = self.scheduler.create_server(self._params(initial), name=f"srv-{name}")
+        for proc in procs:
+            self.scheduler.attach(proc, server)
 
         analyser: PeriodAnalyser | None = None
         if controller_config.use_period_estimate:
             analyser = PeriodAnalyser(analyser_config)
-            pid = proc.pid
+            members = frozenset(pids)
 
             def sink(batch: list[TraceEvent], now: int, _a=analyser) -> None:
                 # the ring is shared, so any overwrite may have eaten this
@@ -150,44 +191,36 @@ class SelfTuningRuntime:
                 if self.tracer.last_overrun:
                     _a.note_overrun(self.tracer.last_overrun)
                 _a.add_batch(
-                    [e for e in batch if e.pid == pid and e.kind is EventKind.SYSCALL_ENTRY],
+                    [e for e in batch if e.pid in members and e.kind is EventKind.SYSCALL_ENTRY],
                     now,
                 )
 
             self.tracer.add_sink(sink)
-            self.tracer.trace_pid(proc.pid)
-            if traced_syscalls is not None:
-                self.tracer.set_syscall_filter(traced_syscalls)
+            for pid in pids:
+                self.tracer.trace_pid(pid)
 
         def sensor(_s=server) -> ServerSample:
             return ServerSample(consumed=_s.consumed, exhaustions=_s.exhaustions)
 
-        def actuate(granted: BandwidthRequest, _s=server) -> None:
-            self.scheduler.set_params(
-                _s,
-                ServerParams(
-                    budget=granted.budget,
-                    period=granted.period,
-                    policy=self.reservation_policy,
-                ),
-            )
-
         controller = TaskController(
-            name=proc.name,
+            name=name,
             feedback=feedback,
             analyser=analyser,
             supervisor=self.supervisor,
             supervisor_key=key,
             sensor=sensor,
-            actuate=actuate,
+            actuate=self._actuator(server),
             drain=(lambda now: self.tracer.drain(now)),
             config=controller_config,
         )
         if self._obs is not None:
             controller._obs = self._obs
-        timer = self._activation_source(controller, controller_config, server, (proc.pid,))
-        task = AdoptedTask(proc=proc, server=server, controller=controller, analyser=analyser, timer=timer)
-        self.tasks[proc.pid] = task
+        timer = self._activation_source(controller, controller_config, server, pids)
+        task = AdoptedTask(
+            proc=procs[0], server=server, controller=controller, analyser=analyser, timer=timer
+        )
+        for pid in pids:
+            self.tasks[pid] = task
         return task
 
     def _activation_source(
@@ -217,102 +250,19 @@ class SelfTuningRuntime:
             return loop
         return self.kernel.every(config.sampling_period, controller.activate)
 
-    def adopt_group(
-        self,
-        procs: list[Process],
-        *,
-        name: str = "",
-        feedback: FeedbackLaw | None = None,
-        controller_config: TaskControllerConfig | None = None,
-        analyser_config: AnalyserConfig | None = None,
-        u_min: float = 0.0,
-        weight: float = 1.0,
-        period_hint: int | None = None,
-    ) -> AdoptedTask:
-        """Adopt a *multi-threaded* application: one reservation, many pids.
-
-        All processes share one CBS server (FIFO inside, as in §3.2's
-        multi-task reservation discussion); the analyser consumes the
-        merged event train of every thread, so the estimated period is the
-        group's dominant rate; the feedback law sees the server's
-        aggregate consumption.  Expect the §3.2/Figure 2 economics: a
-        shared reservation needs more bandwidth than dedicated per-thread
-        servers would.
-
-        Returns one :class:`AdoptedTask` whose ``proc`` is the first
-        member (the controller governs the whole group).
-        """
-        if not procs:
-            raise ValueError("adopt_group needs at least one process")
-        for proc in procs:
-            if proc.pid in self.tasks:
-                raise ValueError(f"pid {proc.pid} already adopted")
-        feedback = feedback if feedback is not None else LfsPlusPlus()
-        controller_config = controller_config or TaskControllerConfig()
-
-        key = self.supervisor.register(u_min=u_min, weight=weight)
-        initial = self.supervisor.submit(key, feedback.initial_request(period_hint))
-        server = self.scheduler.create_server(
-            ServerParams(
-                budget=initial.budget, period=initial.period, policy=self.reservation_policy
-            ),
-            name=name or f"srv-group-{procs[0].name}",
+    def _params(self, request: BandwidthRequest) -> ServerParams:
+        """CBS parameters for a ``(Q, T)`` request under this runtime's policy."""
+        return ServerParams(
+            budget=request.budget, period=request.period, policy=self.reservation_policy
         )
-        for proc in procs:
-            self.scheduler.attach(proc, server)
 
-        analyser: PeriodAnalyser | None = None
-        if controller_config.use_period_estimate:
-            analyser = PeriodAnalyser(analyser_config)
-            pids = {proc.pid for proc in procs}
+    def _actuator(self, server: Server) -> Callable[[BandwidthRequest], None]:
+        """The callback that applies each granted ``(Q, T)`` to ``server``."""
 
-            def sink(batch: list[TraceEvent], now: int, _a=analyser) -> None:
-                if self.tracer.last_overrun:
-                    _a.note_overrun(self.tracer.last_overrun)
-                _a.add_batch(
-                    [e for e in batch if e.pid in pids and e.kind is EventKind.SYSCALL_ENTRY],
-                    now,
-                )
+        def actuate(granted: BandwidthRequest) -> None:
+            self.scheduler.set_params(server, self._params(granted))
 
-            self.tracer.add_sink(sink)
-            for proc in procs:
-                self.tracer.trace_pid(proc.pid)
-
-        def sensor(_s=server) -> ServerSample:
-            return ServerSample(consumed=_s.consumed, exhaustions=_s.exhaustions)
-
-        def actuate(granted: BandwidthRequest, _s=server) -> None:
-            self.scheduler.set_params(
-                _s,
-                ServerParams(
-                    budget=granted.budget,
-                    period=granted.period,
-                    policy=self.reservation_policy,
-                ),
-            )
-
-        controller = TaskController(
-            name=name or f"group-{procs[0].name}",
-            feedback=feedback,
-            analyser=analyser,
-            supervisor=self.supervisor,
-            supervisor_key=key,
-            sensor=sensor,
-            actuate=actuate,
-            drain=(lambda now: self.tracer.drain(now)),
-            config=controller_config,
-        )
-        if self._obs is not None:
-            controller._obs = self._obs
-        timer = self._activation_source(
-            controller, controller_config, server, (p.pid for p in procs)
-        )
-        task = AdoptedTask(
-            proc=procs[0], server=server, controller=controller, analyser=analyser, timer=timer
-        )
-        for proc in procs:
-            self.tasks[proc.pid] = task
-        return task
+        return actuate
 
     def add_static_reservation(self, proc: Process, budget: int, period: int) -> Server:
         """Attach ``proc`` to a fixed (non-adaptive) reservation.
@@ -322,26 +272,15 @@ class SelfTuningRuntime:
         reservation is admitted through the supervisor like any other, so
         global compression (Eq. 1) applies when the system saturates.
         """
-        server = self.scheduler.create_server(
-            ServerParams(budget=budget, period=period, policy=self.reservation_policy),
-            name=f"static-{proc.name}",
-        )
+        request = BandwidthRequest(budget=budget, period=period)
+        server = self.scheduler.create_server(self._params(request), name=f"static-{proc.name}")
         self.scheduler.attach(proc, server)
-
-        def actuate(granted: BandwidthRequest, _s=server) -> None:
-            self.scheduler.set_params(
-                _s,
-                ServerParams(
-                    budget=granted.budget, period=granted.period, policy=self.reservation_policy
-                ),
-            )
-
+        actuate = self._actuator(server)
         # static reservations are guaranteed in full: compression must not
         # shrink them (their parameters were fixed by the experimenter),
         # so their bandwidth is registered as the guaranteed minimum
         key = self.supervisor.register(u_min=budget / period, actuate=actuate)
-        granted = self.supervisor.submit(key, BandwidthRequest(budget=budget, period=period))
-        actuate(granted)
+        actuate(self.supervisor.submit(key, request))
         return server
 
     def run(self, until: int) -> None:

@@ -30,13 +30,10 @@ from repro.core.analyser import AnalyserConfig, PeriodAnalyser
 from repro.core.controller import TaskControllerConfig
 from repro.core.lfspp import LfsPlusPlusConfig
 from repro.core.predictors import Ewma, MovingAverage
-from repro.core.spectrum import SpectrumConfig
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig13 import VIDEO_SPECTRUM
-from repro.metrics import InterFrameProbe
+from repro.experiments.common import VIDEO_SPECTRUM, build_video_playback
 from repro.sim.time import MS, SEC
 from repro.workloads import VideoPlayer
-from repro.workloads.desktop import desktop_load, desktop_suite
 from repro.workloads.mplayer import VideoPlayerConfig
 
 #: wall-clock columns that legitimately differ between two runs (all of
@@ -55,19 +52,14 @@ def _playback(
 ):
     """One adaptive playback run; returns (ift ms array, task, player)."""
     rt = SelfTuningRuntime(reservation_policy=reservation_policy)
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-    task = rt.adopt(
-        proc,
+    player, probe, task = build_video_playback(
+        rt,
+        n_frames=n_frames,
+        seed=seed,
         feedback=feedback,
         controller_config=TaskControllerConfig(
             sampling_period=sampling_period, use_period_estimate=use_period_estimate
         ),
-        analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
     )
     rt.run(n_frames * 40 * MS)
     ift = np.array(probe.inter_frame_times, dtype=np.float64) / MS

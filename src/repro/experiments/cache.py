@@ -149,24 +149,12 @@ def package_digest() -> str:
 
 
 class ResultCache:
-    """On-disk pickle store for experiment results, keyed by content.
+    """On-disk pickle store for experiment results, keyed by content."""
 
-    ``max_entries`` bounds the number of stored results: when a ``put``
-    pushes the cache past the bound, the least-recently-used entries
-    (by pickle mtime — reads touch it) are evicted.  ``None`` (the
-    default) keeps the historical unbounded behaviour; fleet-scale runs
-    that sweep thousands of distinct parameter points should set a bound
-    so the on-disk cache cannot grow without limit.
-    """
-
-    def __init__(self, root: Path | str | None = None, *, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1 or None, got {max_entries}")
+    def __init__(self, root: Path | str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     # -- keys ---------------------------------------------------------
 
@@ -226,9 +214,6 @@ class ResultCache:
             self.misses += 1
             return None
         self.hits += 1
-        # LRU touch: a hit marks the entry recently used for eviction
-        with contextlib.suppress(OSError):
-            os.utime(pkl)
         return result
 
     def put(
@@ -260,36 +245,6 @@ class ResultCache:
             pkl, lambda fh: pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
         )
         self._atomic_write(meta, lambda fh: fh.write(json.dumps(info, indent=2).encode("utf-8")))
-        if self.max_entries is not None:
-            self._evict_lru(keep=pkl)
-
-    def _evict_lru(self, keep: Path) -> None:
-        """Drop least-recently-used entries beyond :attr:`max_entries`.
-
-        Recency is the pickle mtime (touched on every hit).  The entry
-        just written (``keep``) is never evicted, even if a concurrent
-        writer races this scan with fresher files.
-        """
-        entries: list[tuple[float, Path]] = []
-        for pkl in self.root.glob("*/*.pkl"):
-            try:
-                entries.append((pkl.stat().st_mtime, pkl))
-            except OSError:
-                continue  # concurrently evicted by another process
-        excess = len(entries) - (self.max_entries or 0)
-        if excess <= 0:
-            return
-        entries.sort(key=lambda item: (item[0], str(item[1])))
-        for _, pkl in entries:
-            if excess <= 0:
-                break
-            if pkl == keep:
-                continue
-            for p in (pkl, pkl.with_suffix(".json")):
-                with contextlib.suppress(OSError):
-                    p.unlink()
-            self.evictions += 1
-            excess -= 1
 
     @staticmethod
     def _atomic_write(dest: Path, write) -> None:

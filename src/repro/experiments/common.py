@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from repro.core import AnalyserConfig, PeriodAnalyser
+from repro.core import AnalyserConfig, PeriodAnalyser, SelfTuningRuntime
+from repro.core.controller import FeedbackLaw, TaskControllerConfig
+from repro.core.runtime import AdoptedTask
 from repro.core.spectrum import SpectrumConfig
+from repro.metrics import InterFrameProbe
 from repro.sched import CbsScheduler, ServerParams
 from repro.sim import Kernel, SEC
+from repro.sim.process import Program
 from repro.sim.time import US
 from repro.tracer import QTracer
-from repro.workloads import AudioPlayer, periodic_task, PeriodicTaskConfig
+from repro.workloads import AudioPlayer, VideoPlayer, periodic_task, PeriodicTaskConfig
 from repro.workloads.desktop import desktop_load, desktop_suite
 from repro.workloads.io import Disk, DiskConfig
-from repro.workloads.mplayer import AudioPlayerConfig
+from repro.workloads.mplayer import AudioPlayerConfig, VideoPlayerConfig
 
 #: the (budget us, period us) reservations of Table 2, ~15% each; row k of
 #: the table runs the first k of them concurrently
@@ -22,6 +27,10 @@ TABLE2_RESERVATIONS = [(645, 4300), (1200, 8000), (1650, 11000), (2250, 15000)]
 #: frequency grid of the mp3 experiments (the paper's Figs. 10-11 scan
 #: 30-100 Hz)
 MP3_SPECTRUM = SpectrumConfig(f_min=30.0, f_max=100.0, df=0.1)
+
+#: analyser band for the 25 fps video of §5.4 (fundamental 25 Hz,
+#: harmonics in band)
+VIDEO_SPECTRUM = SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1)
 
 
 @dataclass
@@ -94,6 +103,48 @@ def build_mp3_scenario(
         player_pid=proc.pid,
         load_pids=load_pids,
     )
+
+
+def build_video_playback(
+    runtime: SelfTuningRuntime,
+    *,
+    n_frames: int,
+    seed: int,
+    feedback: FeedbackLaw | None = None,
+    controller_config: TaskControllerConfig | None = None,
+    analyser_config: AnalyserConfig | None = None,
+    wrap: Callable[[Program], Program] | None = None,
+    u_min: float = 0.0,
+) -> tuple[VideoPlayer, InterFrameProbe, AdoptedTask]:
+    """Assemble the §5.4 testbed (Figs. 13-14, Table 3) on ``runtime``.
+
+    A 25 fps mplayer playing ``n_frames`` (its program passed through
+    ``wrap`` when given, e.g. a fault injector) with an inter-frame probe,
+    the desktop background mix, and the player adopted under ``feedback``
+    (LFS++ by default) with an analyser scanning :data:`VIDEO_SPECTRUM`
+    over a 2 s horizon unless ``analyser_config`` says otherwise.  The
+    caller builds the runtime (policy, tracer, instrumentation) and runs
+    it for as long as it needs.
+    """
+    player = VideoPlayer(VideoPlayerConfig(seed=seed))
+    program = player.program(n_frames)
+    proc = runtime.spawn("mplayer", wrap(program) if wrap is not None else program)
+    probe = InterFrameProbe(pid=proc.pid)
+    probe.install(runtime.kernel)
+    # the desktop background mix: reservations only matter because the
+    # best-effort class (where budget-exhausted tasks overflow) is busy
+    for i, cfg in enumerate(desktop_suite(seed + 40)):
+        runtime.spawn(f"desktop{i}", desktop_load(cfg))
+    if analyser_config is None:
+        analyser_config = AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC)
+    task = runtime.adopt(
+        proc,
+        feedback=feedback,
+        controller_config=controller_config,
+        analyser_config=analyser_config,
+        u_min=u_min,
+    )
+    return player, probe, task
 
 
 def trace_mp3(scenario: Mp3Scenario, duration_ns: int) -> list[int]:

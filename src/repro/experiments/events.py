@@ -85,41 +85,25 @@ def _leg_rate(times: list[int], start: int, end: int) -> float:
 
 def _one_rep(mode: str, intensity: float, n_frames: int, seed: int) -> dict:
     """One playback in one activation mode; returns the metrics dict."""
-    from repro.core import EventTriggerConfig, LfsPlusPlus, SelfTuningRuntime
-    from repro.core.analyser import AnalyserConfig
+    from repro.core import EventTriggerConfig, SelfTuningRuntime
     from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
+    from repro.experiments.common import build_video_playback
     from repro.faults.injectors import WorkloadFaults
     from repro.faults.plan import FaultPlan
-    from repro.metrics import InterFrameProbe
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
 
-    rt = SelfTuningRuntime()
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
     cliff = WorkloadFaults(
         overload=FaultPlan.steps([(CLIFF_AT, None, intensity)]),
         compute_factor=COMPUTE_FACTOR,
         seed=seed,
     )
-    proc = rt.spawn("mplayer", cliff.wrap(player.program(n_frames)))
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
-    sampling = 100 * MS
     config = TaskControllerConfig(
-        sampling_period=sampling,
+        sampling_period=100 * MS,
         trigger=mode,
         events=EventTriggerConfig() if mode == "event" else None,
     )
-    task = rt.adopt(
-        proc,
-        feedback=LfsPlusPlus(),
-        controller_config=config,
-        analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
+    rt = SelfTuningRuntime()
+    player, probe, task = build_video_playback(
+        rt, n_frames=n_frames, seed=seed, controller_config=config, wrap=cliff.wrap
     )
     horizon = (n_frames * 40 + 2000) * MS
     rt.run(horizon)

@@ -20,53 +20,39 @@ LFS's std and CDF tail are several times worse.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.core import Lfs, LfsPlusPlus, SelfTuningRuntime
-from repro.core.controller import TaskControllerConfig
-from repro.core.spectrum import SpectrumConfig
-from repro.core.analyser import AnalyserConfig
+from repro.core.controller import FeedbackLaw, TaskControllerConfig
 from repro.experiments.base import ExperimentResult, Series
-from repro.metrics import InterFrameProbe, cdf_points
+from repro.experiments.common import build_video_playback
+from repro.metrics import cdf_points
 from repro.sim.time import MS, SEC
-from repro.workloads import VideoPlayer
-from repro.workloads.desktop import desktop_load, desktop_suite
-from repro.workloads.mplayer import VideoPlayerConfig
 
-#: analyser band for the 25 fps video (fundamental 25 Hz, harmonics in band)
-VIDEO_SPECTRUM = SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1)
+#: the two feedback laws of §5.4: name -> (law, controller config).  LFS
+#: samples every server period with rate detection off, as the paper ran it
+LAWS: dict[str, tuple[Callable[[], FeedbackLaw], TaskControllerConfig]] = {
+    "lfs": (Lfs, TaskControllerConfig(sampling_period=40 * MS, use_period_estimate=False)),
+    "lfs++": (LfsPlusPlus, TaskControllerConfig(sampling_period=100 * MS)),
+}
+
+
+def law(name: str) -> tuple[FeedbackLaw, TaskControllerConfig]:
+    """A fresh feedback law named ``name`` and its controller config."""
+    if name not in LAWS:
+        raise ValueError(f"unknown law {name!r}; use 'lfs' or 'lfs++'")
+    factory, controller_config = LAWS[name]
+    return factory(), controller_config
 
 
 def run_one(law_name: str, *, n_frames: int, seed: int) -> dict:
     """One playback run under the given feedback law; returns raw series."""
+    feedback, controller_config = law(law_name)
     rt = SelfTuningRuntime()
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    # the desktop background mix: reservations only matter because the
-    # best-effort class (where budget-exhausted tasks overflow) is busy
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
-    if law_name == "lfs":
-        feedback = Lfs()
-        controller_config = TaskControllerConfig(
-            sampling_period=40 * MS, use_period_estimate=False
-        )
-        analyser_config = None
-    elif law_name == "lfs++":
-        feedback = LfsPlusPlus()
-        controller_config = TaskControllerConfig(sampling_period=100 * MS)
-        analyser_config = AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC)
-    else:
-        raise ValueError(f"unknown law {law_name!r}")
-
-    task = rt.adopt(
-        proc,
-        feedback=feedback,
-        controller_config=controller_config,
-        analyser_config=analyser_config,
+    player, probe, task = build_video_playback(
+        rt, n_frames=n_frames, seed=seed, feedback=feedback, controller_config=controller_config
     )
     rt.run((n_frames * 40 + 2000) * MS)
 

@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import LfsPlusPlus, SelfTuningRuntime
-from repro.core.analyser import AnalyserConfig
-from repro.core.controller import TaskControllerConfig
+from repro.core import SelfTuningRuntime
 from repro.experiments.base import ExperimentResult
-from repro.experiments.fig13 import VIDEO_SPECTRUM
-from repro.metrics import InterFrameProbe
-from repro.sim.time import MS, SEC
-from repro.workloads import VideoPlayer, periodic_task
-from repro.workloads.desktop import desktop_load, desktop_suite
-from repro.workloads.mplayer import VideoPlayerConfig
+from repro.experiments.common import build_video_playback
+from repro.sim.time import MS
+from repro.workloads import periodic_task
 from repro.workloads.periodic import load_set
 
 
@@ -31,18 +26,7 @@ from repro.workloads.periodic import load_set
 def run_one(load: float, n_frames: int = 1000, seed: int = 3000) -> tuple[float, float]:
     """One adaptive playback under ``load``; returns (mean, std) IFT ms."""
     rt = SelfTuningRuntime()
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-    rt.adopt(
-        proc,
-        feedback=LfsPlusPlus(),
-        controller_config=TaskControllerConfig(sampling_period=100 * MS),
-        analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
-    )
+    _, probe, _ = build_video_playback(rt, n_frames=n_frames, seed=seed)
     if load > 0:
         for i, cfg in enumerate(load_set(load, seed=seed + 50)):
             lp = rt.spawn(f"rtload{i}", periodic_task(cfg))

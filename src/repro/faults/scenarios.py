@@ -19,8 +19,9 @@ with the deadline-miss ratio and the guard counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -76,7 +77,7 @@ def _hardened_configs(hardened: bool):
     """Controller + analyser configs with the degradation guards on/off."""
     from repro.core.analyser import AnalyserConfig
     from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
+    from repro.experiments.common import VIDEO_SPECTRUM
 
     if hardened:
         # the decay floor is a *livable* bandwidth for 25 fps video, not a
@@ -113,13 +114,10 @@ def _playback(
     ring_capacity: int | None = None,
 ) -> FaultRun:
     """Run one faulted Figure 13 playback; ``arm(rt, harness)`` installs."""
-    from repro.core import LfsPlusPlus, SelfTuningRuntime
-    from repro.metrics import InterFrameProbe
+    from repro.core import SelfTuningRuntime
+    from repro.experiments.common import build_video_playback
     from repro.obs.instrument import instrument_runtime
     from repro.tracer.qtrace import QTraceConfig
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
 
     tracer_config = (
         QTraceConfig(buffer_capacity=ring_capacity) if ring_capacity is not None else None
@@ -127,23 +125,14 @@ def _playback(
     rt = SelfTuningRuntime(tracer_config=tracer_config)
     telemetry = instrument_runtime(rt)
     harness = FaultHarness()
-
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    program = player.program(n_frames)
-    if wrap_program is not None:
-        program = wrap_program(harness, program)
-    proc = rt.spawn("mplayer", program)
-    probe = InterFrameProbe(pid=proc.pid)
-    probe.install(rt.kernel)
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
     controller_config, analyser_config = _hardened_configs(hardened)
-    task = rt.adopt(
-        proc,
-        feedback=LfsPlusPlus(),
+    player, probe, task = build_video_playback(
+        rt,
+        n_frames=n_frames,
+        seed=seed,
         controller_config=controller_config,
         analyser_config=analyser_config,
+        wrap=partial(wrap_program, harness) if wrap_program is not None else None,
         # the u_min guarantee is one of the guards under test: the
         # unhardened ablation runs without it
         u_min=u_min if hardened else 0.0,

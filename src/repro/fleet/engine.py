@@ -22,7 +22,7 @@ input order whatever order the workers finish in, so ``jobs=N``
 produces a byte-identical aggregate — and JSONL stream — to ``jobs=1``,
 on a fresh pool or a reused one.  The engine itself never reads the
 host clock; throughput timing belongs to its callers (the CLI and the
-``fleet`` micro benchmark).
+end-to-end benchmark under ``benchmarks/e2e``).
 """
 
 from __future__ import annotations

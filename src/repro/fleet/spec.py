@@ -18,9 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import tomllib
-from dataclasses import dataclass, field
+from collections.abc import Collection
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.sim.time import MS
 
@@ -61,7 +63,7 @@ def _require(table: dict[str, Any], key: str, where: str) -> Any:
     return table[key]
 
 
-def _reject_unknown(table: dict[str, Any], allowed: tuple[str, ...], where: str) -> None:
+def _reject_unknown(table: dict[str, Any], allowed: Collection[str], where: str) -> None:
     unknown = sorted(set(table) - set(allowed))
     if unknown:
         raise SpecError(
@@ -69,11 +71,79 @@ def _reject_unknown(table: dict[str, Any], allowed: tuple[str, ...], where: str)
         )
 
 
+def _scalar(value: Any, kind: str, key: str, where: str) -> Any:
+    """Type-check one TOML value for a field of type ``kind``.
+
+    ``str`` fields take the value's string form; ``int`` fields take
+    integers, ``float`` fields any number, ``bool`` fields only booleans
+    (a TOML boolean is never a number here).
+    """
+    if kind == "str":
+        return str(value)
+    if kind == "bool":
+        if isinstance(value, bool):
+            return value
+        raise SpecError(f"{where}: {key!r} must be a boolean, got {value!r}")
+    if not isinstance(value, bool):
+        if kind == "int" and isinstance(value, int):
+            return value
+        if kind == "float" and isinstance(value, (int, float)):
+            return float(value)
+    noun = "an integer" if kind == "int" else "a number"
+    raise SpecError(f"{where}: {key!r} must be {noun}, got {value!r}")
+
+
 def _int_field(table: dict[str, Any], key: str, default: int, where: str) -> int:
-    value = table.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{where}: {key!r} must be an integer, got {value!r}")
-    return value
+    return _scalar(table.get(key, default), "int", key, where)
+
+
+@cache
+def _toml_fields(cls: type[Any]) -> dict[str, tuple[str, str, bool]]:
+    """TOML key -> (field name, type, required) of the flat dataclass ``cls``.
+
+    A ``*_ns`` field is read from the ``*_ms`` key; every field is one of
+    ``int``, ``float``, ``bool`` or ``str``; a field without a default is
+    required.
+    """
+    table = {}
+    for f in fields(cls):
+        kind = f.type if isinstance(f.type, str) else f.type.__name__
+        if kind not in ("int", "float", "bool", "str"):
+            raise TypeError(f"{cls.__name__}.{f.name}: a spec table holds scalars, not {kind}")
+        key = f.name[:-3] + "_ms" if f.name.endswith("_ns") else f.name
+        table[key] = (f.name, kind, f.default is MISSING and f.default_factory is MISSING)
+    return table
+
+
+_Spec = TypeVar("_Spec")
+
+
+def from_table(cls: type[_Spec], table: dict[str, Any], where: str) -> _Spec:
+    """Build the flat spec ``cls`` from one TOML table, field by field.
+
+    The accepted keys are the fields; a ``*_ns`` field reads its ``*_ms``
+    key through :func:`_ms_to_ns`.  A missing key keeps the field default.
+    Range and cross-field checks are the class's ``__post_init__``; a
+    plain ``ValueError`` raised there comes back as a :class:`SpecError`
+    prefixed with ``where``.
+    """
+    spec_fields = _toml_fields(cls)
+    _reject_unknown(table, spec_fields, where)
+    kwargs = {}
+    for key, (name, kind, required) in spec_fields.items():
+        if key not in table:
+            if required:
+                raise SpecError(f"{where}: missing required key {key!r}")
+        elif name != key:
+            kwargs[name] = _ms_to_ns(table[key], key, where)
+        else:
+            kwargs[name] = _scalar(table[key], kind, key, where)
+    try:
+        return cls(**kwargs)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -97,37 +167,6 @@ class SchedulerSpec:
                 f"scheduler: unknown policy {self.policy!r}; accepted policies are "
                 "['hard', 'soft', 'background']"
             )
-
-    @staticmethod
-    def from_dict(table: dict[str, Any]) -> SchedulerSpec:
-        """Build from a parsed ``[scheduler]`` table."""
-        _reject_unknown(table, ("kind", "policy"), "scheduler")
-        return SchedulerSpec(
-            kind=table.get("kind", "cbs"), policy=table.get("policy", "hard")
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """Stable JSON form (feeds :meth:`ScenarioSpec.spec_hash`)."""
-        return {"kind": self.kind, "policy": self.policy}
-
-
-_WORKLOAD_KEYS = (
-    "kind",
-    "name",
-    "count",
-    "seed",
-    "jobs",
-    "period_ms",
-    "cost_ms",
-    "jitter",
-    "phase_ms",
-    "budget_ms",
-    "server_period_ms",
-    "deadline_ms",
-    "priority",
-    "tickets",
-    "adaptive",
-)
 
 
 @dataclass(frozen=True)
@@ -182,58 +221,6 @@ class WorkloadSpec:
         if self.kind == "periodic" and self.period_ns <= 0:
             raise SpecError(f"{where}: periodic workloads need 'period_ms' > 0")
 
-    @staticmethod
-    def from_dict(table: dict[str, Any]) -> WorkloadSpec:
-        """Build from one parsed ``[[workload]]`` entry."""
-        name = str(table.get("name", ""))
-        where = f"workload {name!r}" if name else "workload"
-        _reject_unknown(table, _WORKLOAD_KEYS, where)
-        jitter = table.get("jitter", 0.0)
-        if isinstance(jitter, bool) or not isinstance(jitter, (int, float)):
-            raise SpecError(f"{where}: 'jitter' must be a number, got {jitter!r}")
-        adaptive = table.get("adaptive", False)
-        if not isinstance(adaptive, bool):
-            raise SpecError(f"{where}: 'adaptive' must be a boolean, got {adaptive!r}")
-        return WorkloadSpec(
-            kind=str(_require(table, "kind", where)),
-            name=str(_require(table, "name", where)),
-            count=_int_field(table, "count", 1, where),
-            seed=_int_field(table, "seed", 0, where),
-            jobs=_int_field(table, "jobs", 0, where),
-            period_ns=_ms_to_ns(table.get("period_ms", 0), "period_ms", where),
-            cost_ns=_ms_to_ns(table.get("cost_ms", 0), "cost_ms", where),
-            jitter=float(jitter),
-            phase_ns=_ms_to_ns(table.get("phase_ms", 0), "phase_ms", where),
-            budget_ns=_ms_to_ns(table.get("budget_ms", 0), "budget_ms", where),
-            server_period_ns=_ms_to_ns(
-                table.get("server_period_ms", 0), "server_period_ms", where
-            ),
-            deadline_ns=_ms_to_ns(table.get("deadline_ms", 0), "deadline_ms", where),
-            priority=_int_field(table, "priority", -1, where),
-            tickets=_int_field(table, "tickets", 1, where),
-            adaptive=adaptive,
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """Stable JSON form (feeds :meth:`ScenarioSpec.spec_hash`)."""
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "count": self.count,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "period_ns": self.period_ns,
-            "cost_ns": self.cost_ns,
-            "jitter": self.jitter,
-            "phase_ns": self.phase_ns,
-            "budget_ns": self.budget_ns,
-            "server_period_ns": self.server_period_ns,
-            "deadline_ns": self.deadline_ns,
-            "priority": self.priority,
-            "tickets": self.tickets,
-            "adaptive": self.adaptive,
-        }
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -270,21 +257,6 @@ class FaultSpec:
         if self.scale < 0:
             raise SpecError(f"fault: 'scale' must be >= 0, got {self.scale}")
 
-    @staticmethod
-    def from_dict(table: dict[str, Any]) -> FaultSpec:
-        """Build from a parsed ``[fault]`` table."""
-        _reject_unknown(table, ("plan", "scale", "kind", "target", "seed"), "fault")
-        scale = table.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            raise SpecError(f"fault: 'scale' must be a number, got {scale!r}")
-        return FaultSpec(
-            plan=str(table.get("plan", "zero")),
-            scale=float(scale),
-            kind=str(table.get("kind", "overload")),
-            target=str(table.get("target", "")),
-            seed=_int_field(table, "seed", 0, "fault"),
-        )
-
     @property
     def is_zero(self) -> bool:
         """True when the spec can never inject anything."""
@@ -292,36 +264,9 @@ class FaultSpec:
 
         return plan_from_name(self.plan, scale=self.scale).is_zero
 
-    def to_jsonable(self) -> dict[str, Any]:
-        """Stable JSON form (feeds :meth:`ScenarioSpec.spec_hash`)."""
-        return {
-            "plan": self.plan,
-            "scale": self.scale,
-            "kind": self.kind,
-            "target": self.target,
-            "seed": self.seed,
-        }
-
 
 #: feedback laws the [controller] table accepts
 CONTROLLER_LAWS = ("lfspp", "lfs")
-
-_CONTROLLER_KEYS = (
-    "law",
-    "spread",
-    "window",
-    "quantile",
-    "sampling_period_ms",
-    "boost",
-    "boost_threshold",
-    "rate_detection",
-    "u_lub",
-    "trigger",
-    "burst_threshold",
-    "burst_window_ms",
-    "refractory_ms",
-    "fallback_floor_ms",
-)
 
 
 @dataclass(frozen=True)
@@ -407,64 +352,6 @@ class ControllerSpec:
                 f"'fallback_floor_ms' ({self.fallback_floor_ns} ns)"
             )
 
-    @staticmethod
-    def from_dict(table: dict[str, Any]) -> ControllerSpec:
-        """Build from a parsed ``[controller]`` table."""
-        _reject_unknown(table, _CONTROLLER_KEYS, "controller")
-
-        def _float(key: str, default: float) -> float:
-            value = table.get(key, default)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SpecError(f"controller: {key!r} must be a number, got {value!r}")
-            return float(value)
-
-        rate = table.get("rate_detection", False)
-        if not isinstance(rate, bool):
-            raise SpecError(f"controller: 'rate_detection' must be a boolean, got {rate!r}")
-        return ControllerSpec(
-            law=str(table.get("law", "lfspp")),
-            spread=_float("spread", 0.15),
-            window=_int_field(table, "window", 16, "controller"),
-            quantile=_float("quantile", 0.9375),
-            sampling_period_ns=_ms_to_ns(
-                table.get("sampling_period_ms", 100.0), "sampling_period_ms", "controller"
-            ),
-            boost=_float("boost", 0.25),
-            boost_threshold=_float("boost_threshold", -1.0),
-            rate_detection=rate,
-            u_lub=_float("u_lub", 0.95),
-            trigger=str(table.get("trigger", "periodic")),
-            burst_threshold=_int_field(table, "burst_threshold", 3, "controller"),
-            burst_window_ns=_ms_to_ns(
-                table.get("burst_window_ms", 250.0), "burst_window_ms", "controller"
-            ),
-            refractory_ns=_ms_to_ns(
-                table.get("refractory_ms", 50.0), "refractory_ms", "controller"
-            ),
-            fallback_floor_ns=_ms_to_ns(
-                table.get("fallback_floor_ms", 400.0), "fallback_floor_ms", "controller"
-            ),
-        )
-
-    def to_jsonable(self) -> dict[str, Any]:
-        """Stable JSON form (feeds :meth:`ScenarioSpec.spec_hash`)."""
-        return {
-            "law": self.law,
-            "spread": self.spread,
-            "window": self.window,
-            "quantile": self.quantile,
-            "sampling_period_ns": self.sampling_period_ns,
-            "boost": self.boost,
-            "boost_threshold": self.boost_threshold,
-            "rate_detection": self.rate_detection,
-            "u_lub": self.u_lub,
-            "trigger": self.trigger,
-            "burst_threshold": self.burst_threshold,
-            "burst_window_ns": self.burst_window_ns,
-            "refractory_ns": self.refractory_ns,
-            "fallback_floor_ns": self.fallback_floor_ns,
-        }
-
 
 _SCENARIO_KEYS = ("name", "seed", "horizon_ms", "miss_threshold_ms")
 _TOP_KEYS = ("scenario", "scheduler", "workload", "fault", "controller")
@@ -520,21 +407,11 @@ class ScenarioSpec:
             )
 
     def to_jsonable(self) -> dict[str, Any]:
-        """Canonical JSON form: stable across processes and Python versions."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "horizon_ns": self.horizon_ns,
-            "miss_threshold_ns": self.miss_threshold_ns,
-            "scheduler": self.scheduler.to_jsonable(),
-            "workloads": [w.to_jsonable() for w in self.workloads],
-            "fault": self.fault.to_jsonable(),
-            "controller": self.controller.to_jsonable() if self.controller else None,
-            "group": self.group,
-        }
+        """Canonical JSON form: every field, nested specs as dicts."""
+        return asdict(self)
 
     def spec_hash(self) -> str:
-        """SHA-256 over the canonical JSON form (worker memo / stream key)."""
+        """SHA-256 over the canonical JSON form: equal specs hash equal."""
         blob = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -555,6 +432,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> ScenarioSpec:
     controller_raw = doc.get("controller")
     if controller_raw is not None and not isinstance(controller_raw, dict):
         raise SpecError("document: [controller] must be a table")
+    workloads = []
+    for table in workloads_raw:
+        name = str(table.get("name", ""))
+        workloads.append(
+            from_table(WorkloadSpec, table, f"workload {name!r}" if name else "workload")
+        )
     return ScenarioSpec(
         name=str(_require(scenario, "name", "scenario")),
         seed=_int_field(scenario, "seed", 0, "scenario"),
@@ -562,11 +445,13 @@ def scenario_from_dict(doc: dict[str, Any]) -> ScenarioSpec:
         miss_threshold_ns=_ms_to_ns(
             scenario.get("miss_threshold_ms", 10.0), "miss_threshold_ms", "scenario"
         ),
-        scheduler=SchedulerSpec.from_dict(doc.get("scheduler", {})),
-        workloads=tuple(WorkloadSpec.from_dict(w) for w in workloads_raw),
-        fault=FaultSpec.from_dict(fault_raw),
+        scheduler=from_table(SchedulerSpec, doc.get("scheduler", {}), "scheduler"),
+        workloads=tuple(workloads),
+        fault=from_table(FaultSpec, fault_raw, "fault"),
         controller=(
-            ControllerSpec.from_dict(controller_raw) if controller_raw is not None else None
+            from_table(ControllerSpec, controller_raw, "controller")
+            if controller_raw is not None
+            else None
         ),
     )
 

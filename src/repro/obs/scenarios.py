@@ -25,39 +25,16 @@ from repro.obs.telemetry import Telemetry, TelemetryConfig
 
 def trace_fig13(*, n_frames: int = 250, seed: int = 13, law: str = "lfs++") -> Telemetry:
     """The Figure 13 mplayer playback under adaptive reservations."""
-    from repro.core import Lfs, LfsPlusPlus, SelfTuningRuntime
-    from repro.core.analyser import AnalyserConfig
-    from repro.core.controller import TaskControllerConfig
-    from repro.experiments.fig13 import VIDEO_SPECTRUM
-    from repro.sim.time import MS, SEC
-    from repro.workloads import VideoPlayer
-    from repro.workloads.desktop import desktop_load, desktop_suite
-    from repro.workloads.mplayer import VideoPlayerConfig
+    from repro.core import SelfTuningRuntime
+    from repro.experiments import fig13
+    from repro.experiments.common import build_video_playback
+    from repro.sim.time import MS
 
+    feedback, controller_config = fig13.law(law)
     rt = SelfTuningRuntime()
     telemetry = instrument_runtime(rt)
-    player = VideoPlayer(VideoPlayerConfig(seed=seed))
-    proc = rt.spawn("mplayer", player.program(n_frames))
-    for i, cfg in enumerate(desktop_suite(seed + 40)):
-        rt.spawn(f"desktop{i}", desktop_load(cfg))
-
-    if law == "lfs":
-        feedback = Lfs()
-        controller_config = TaskControllerConfig(
-            sampling_period=40 * MS, use_period_estimate=False
-        )
-        analyser_config = None
-    elif law == "lfs++":
-        feedback = LfsPlusPlus()
-        controller_config = TaskControllerConfig(sampling_period=100 * MS)
-        analyser_config = AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC)
-    else:
-        raise ValueError(f"unknown law {law!r}; use 'lfs' or 'lfs++'")
-    rt.adopt(
-        proc,
-        feedback=feedback,
-        controller_config=controller_config,
-        analyser_config=analyser_config,
+    build_video_playback(
+        rt, n_frames=n_frames, seed=seed, feedback=feedback, controller_config=controller_config
     )
     rt.run((n_frames * 40 + 2000) * MS)
     telemetry.close_open_spans()

@@ -43,7 +43,14 @@ from typing import Any
 
 from repro.experiments.cache import ResultCache
 from repro.fleet.engine import WorkerPool
-from repro.fleet.spec import SpecError, _int_field, _ms_to_ns, _reject_unknown, load_toml
+from repro.fleet.spec import (
+    SpecError,
+    _int_field,
+    _ms_to_ns,
+    _reject_unknown,
+    from_table,
+    load_toml,
+)
 from repro.sim.time import MS
 from repro.tune.classes import WORKLOAD_CLASSES, WorkloadClass
 from repro.tune.evaluate import Evaluator, Objective
@@ -52,7 +59,6 @@ from repro.tune.search import SEARCH_METHODS, SearchResult, Steps, search
 from repro.tune.space import ParamSpace, default_config, default_space, space_from_tables
 
 _TUNE_KEYS = ("name", "seed", "budget", "method", "classes", "horizon_ms")
-_OBJECTIVE_KEYS = ("miss_weight", "latency_weight", "p99_weight")
 _TOP_KEYS = ("tune", "objective", "param")
 
 
@@ -110,18 +116,7 @@ def tune_spec_from_toml(text: str) -> TuneSpec:
     objective_raw = doc.get("objective", {})
     if not isinstance(objective_raw, dict):
         raise SpecError("tune document: [objective] must be a table")
-    _reject_unknown(objective_raw, _OBJECTIVE_KEYS, "objective")
-    weights = {}
-    for key in _OBJECTIVE_KEYS:
-        if key in objective_raw:
-            value = objective_raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SpecError(f"objective: {key!r} must be a number, got {value!r}")
-            weights[key] = float(value)
-    try:
-        objective = Objective(**weights)
-    except ValueError as exc:
-        raise SpecError(f"objective: {exc}") from None
+    objective = from_table(Objective, objective_raw, "objective")
 
     params_raw = doc.get("param", [])
     if not isinstance(params_raw, list):

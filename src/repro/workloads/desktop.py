@@ -14,6 +14,7 @@ spinner: ``chunk`` of CPU, then a sleep sized for the target utilisation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class DesktopLoadConfig:
             raise ValueError(f"duty must be in (0, 1), got {self.duty}")
         if self.chunk <= 0:
             raise ValueError("chunk must be positive")
+        if not 0 <= self.burst_sigma < math.inf:
+            raise ValueError(f"burst_sigma must be finite and >= 0, got {self.burst_sigma}")
 
 
 def desktop_load(config: DesktopLoadConfig | None = None) -> Program:

@@ -9,6 +9,7 @@ tracer adds — which is exactly what Table 1 measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class FfmpegConfig:
             raise ValueError("n_frames and frame_cost must be positive")
         if self.calls_per_frame < 0:
             raise ValueError("calls_per_frame must be >= 0")
+        if not 0 <= self.cost_jitter < math.inf:
+            raise ValueError(f"cost_jitter must be finite and >= 0, got {self.cost_jitter}")
 
     @property
     def nominal_cpu(self) -> int:

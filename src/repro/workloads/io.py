@@ -17,6 +17,7 @@ the paper's Table 2 experiment.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ class DiskConfig:
     def __post_init__(self) -> None:
         if self.service_cost <= 0:
             raise ValueError("service_cost must be positive")
+        if not 0 <= self.jitter < math.inf:
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
 
 
 class Disk:

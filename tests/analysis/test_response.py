@@ -90,7 +90,10 @@ class TestResponseTime:
 
         def prog(idx, task):
             def body():
-                for j in range(5):
+                # every task releases through five periods of the
+                # lower-priority one: a higher-priority task that stopped
+                # earlier would cut the busy period's interference short
+                for j in range(-(-5 * tasks[1].period // task.period)):
                     yield Syscall(
                         SyscallNr.CLOCK_NANOSLEEP, cost=0, block=SleepUntil(j * task.period * MS)
                     )

@@ -222,80 +222,3 @@ class TestCodeDigest:
         from repro.experiments import fig06
 
         assert code_digest(fig06, ns) == code_digest(fig06)
-
-
-class TestMaxEntries:
-    """The ``max_entries`` bound evicts least-recently-used entries."""
-
-    def test_unbounded_by_default(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        for i in range(10):
-            cache.put("fig06", f"k{i}", _result(i=i))
-        assert cache.evictions == 0
-        assert all(cache.get("fig06", f"k{i}") is not None for i in range(10))
-
-    def test_put_evicts_oldest_beyond_bound(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path, max_entries=3)
-        now = [1_000_000.0]
-
-        def fake_time():
-            now[0] += 1.0
-            return now[0]
-
-        monkeypatch.setattr(cache_mod.time, "time", fake_time)
-        import os as os_mod
-
-        real_utime = os_mod.utime
-
-        def stamp(path, *args, **kwargs):
-            # deterministic, strictly increasing mtimes regardless of clock
-            return real_utime(path, times=(now[0], now[0]))
-
-        monkeypatch.setattr(cache_mod.os, "utime", stamp)
-        for i in range(5):
-            cache.put("fig06", f"k{i}", _result(i=i))
-            stamp(cache._paths("fig06", f"k{i}")[0])
-        assert cache.evictions == 2
-        assert cache.get("fig06", "k0") is None  # oldest two gone
-        assert cache.get("fig06", "k1") is None
-        assert all(cache.get("fig06", f"k{i}") is not None for i in (2, 3, 4))
-
-    def test_get_touches_lru_order(self, tmp_path):
-        import os as os_mod
-
-        cache = ResultCache(tmp_path, max_entries=2)
-        base = 1_000_000
-        for i, key in enumerate(("old", "new")):
-            cache.put("fig06", key, _result(i=i))
-            os_mod.utime(cache._paths("fig06", key)[0], times=(base + i, base + i))
-        # a hit on "old" must refresh it past "new"
-        assert cache.get("fig06", "old") is not None
-        pkl_old = cache._paths("fig06", "old")[0]
-        os_mod.utime(pkl_old, times=(base + 10, base + 10))
-        cache.put("fig06", "k2", _result(i=2))
-        assert cache.get("fig06", "old") is not None
-        assert cache.get("fig06", "new") is None  # LRU victim
-
-    def test_just_written_entry_survives(self, tmp_path):
-        import os as os_mod
-
-        cache = ResultCache(tmp_path, max_entries=1)
-        cache.put("fig06", "a", _result(i=0))
-        os_mod.utime(cache._paths("fig06", "a")[0], times=(2_000_000, 2_000_000))
-        # the new entry has an *older* mtime than "a"; it must still win
-        cache.put("fig06", "b", _result(i=1))
-        os_mod.utime(cache._paths("fig06", "b")[0], times=(1_000_000, 1_000_000))
-        cache._evict_lru(keep=cache._paths("fig06", "b")[0])
-        assert cache.get("fig06", "b") is not None
-        assert cache.get("fig06", "a") is None
-
-    def test_eviction_counts_across_experiments(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=2)
-        cache.put("fig06", "a", _result(i=0))
-        cache.put("fig07", "b", _result(i=1))
-        cache.put("fig08", "c", _result(i=2))
-        assert cache.evictions == 1  # the bound is global, not per-experiment
-
-    def test_invalid_bound_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=0)

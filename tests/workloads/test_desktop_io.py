@@ -1,5 +1,7 @@
 """Tests for the desktop-load and disk-I/O workload models."""
 
+import math
+
 import pytest
 
 from repro.sched import RoundRobinScheduler
@@ -30,6 +32,13 @@ class TestDesktopLoad:
         with pytest.raises(ValueError):
             DesktopLoadConfig(**kwargs)
 
+    @pytest.mark.parametrize("sigma", [-1.0, math.inf, math.nan])
+    def test_invalid_burst_sigma(self, sigma):
+        # a negative sigma used to raise ``ValueError('sigma < 0')`` at the
+        # first burst, and nan was accepted
+        with pytest.raises(ValueError, match="burst_sigma"):
+            DesktopLoadConfig(burst_sigma=sigma)
+
     def test_suite_composition(self):
         suite = desktop_suite()
         assert len(suite) == 4
@@ -37,6 +46,13 @@ class TestDesktopLoad:
 
 
 class TestDisk:
+    @pytest.mark.parametrize("jitter", [-0.4, math.inf, math.nan])
+    def test_invalid_jitter(self, jitter):
+        # a negative spread used to kill the kblockd daemon at its first
+        # request, leaving every reader blocked on the disk for good
+        with pytest.raises(ValueError, match="jitter"):
+            DiskConfig(jitter=jitter)
+
     def test_request_completion(self):
         kernel = Kernel(RoundRobinScheduler(), KernelConfig(context_switch_cost=0))
         disk = Disk(kernel, DiskConfig(service_cost=4 * MS, jitter=0.0))

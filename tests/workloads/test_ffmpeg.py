@@ -1,5 +1,7 @@
 """Tests for the ffmpeg transcode model."""
 
+import math
+
 import pytest
 
 from repro.sched import RoundRobinScheduler
@@ -16,6 +18,13 @@ class TestConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             FfmpegConfig(**kwargs)
+
+    @pytest.mark.parametrize("jitter", [-0.05, math.inf, math.nan])
+    def test_invalid_cost_jitter(self, jitter):
+        # a negative spread used to kill the transcode at its first frame
+        # with numpy's ``ValueError('scale < 0')``
+        with pytest.raises(ValueError, match="cost_jitter"):
+            FfmpegConfig(n_frames=5, cost_jitter=jitter)
 
 
 class TestRun:
