@@ -7,17 +7,17 @@ Exports ``REF`` with ``git archive`` into a temporary directory and
 copies this checkout's ``benchmarks/e2e/`` and ``BENCHMARK.json`` over
 it, so both sides run the same benchmark code, each on its own
 ``src/``.  Then it runs ``benchmarks/e2e/run.py`` (every workload) on
-each side for seeds 1-3.  The side that goes first alternates with the
-seed, so host drift hits both sides alike.  Seed 0 is left out because
-``run.py`` checks seed-0 digests against ``digests.json``, which a
-change may re-record on purpose; a change of output still shows as a
-digest mismatch between the two sides.
+each side for seeds 1-4.  The side that goes first alternates with the
+seed, so each side runs first twice and host drift hits both alike.
+Seed 0 is left out because ``run.py`` checks seed-0 digests against
+``digests.json``, which a change may re-record on purpose; a change of
+output still shows as a digest mismatch between the two sides.
 
 Each side's runs are merged into one run set, written to
 ``gate-base.json`` and ``gate-change.json`` in the current directory,
 and ``benchmarks/e2e/compare.py`` compares the two.  The exit status is
 compare.py's: 1 on a ``REGRESSION``, a digest mismatch or a failed
-operation.  Six all-workload runs take about 11 minutes on a two-vCPU
+operation.  Eight all-workload runs take about 15 minutes on a two-vCPU
 x86_64 VM.
 """
 
@@ -35,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SEEDS = (1, 2, 3)
+SEEDS = (1, 2, 3, 4)
 
 
 def export(ref: str, dest: Path) -> None:

@@ -13,27 +13,45 @@ exponential per frequency sample, which is why the paper prefers it over an
 FFT whose sampling period would need to be nanoseconds ("the resulting
 signal would be null most of the time").
 
-Two interfaces are provided:
+An event's *column*, its ``(cos 2πf_k t, sin 2πf_k t)`` over the grid, is
+rounded to int64 multiples of 2^-40.  It comes from a factorised
+exponential, ``e^{j2πf_min t} · e^{j2π aBδf t} · e^{j2π bδf t}`` for
+``k = aB + b`` and ``B = ⌈√F⌉``: trig on ``1 + ⌈F/B⌉ + B`` phases per
+event instead of F (58 instead of 801 on fig13's grid).  Elementwise IEEE
+arithmetic and libm trig make a column a function of ``(t, config)``
+alone, whatever batch computes it, and integer sums are exact, so a
+spectrum has the same bits however its events were summed.  The rounding
+adds at most 2^-41 per event and coordinate to the phase error of any
+float64 evaluation of ``2πft``.  A sum converts to float64 exactly below
+2^13 events (deterministically above); one of 2^23 events or more could
+overflow int64 and raises ``ValueError``.
 
-- :func:`sparse_amplitude_spectrum` — one-shot, vectorised over numpy;
-- :class:`Spectrum` — the same spectrum over a sliding observation window,
-  incremental as the paper intends: each event's column of
-  ``(cos ωt, sin ωt)`` values is evaluated once and reused until the event
-  leaves the window, so refreshing the spectrum costs trig only for the
-  events added since the last refresh.  Its amplitude is bitwise equal to
-  the one-shot result, and it carries the operation counter of Eq. 3 for
-  the overhead studies of Figures 6–7.
+:func:`sparse_amplitude_spectrum` is the one-shot spectrum;
+:class:`Spectrum` is the same spectrum over a sliding observation window,
+incremental as the paper intends and bitwise equal to the one-shot result,
+with the operation counter of Eq. 3 for the overhead studies of Figures
+6–7.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from itertools import islice
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from repro.sim.time import SEC
+
+#: 1.0 in a column's fixed point, whose unit is 2^-40
+_ONE = 2.0**40
+#: events in one sum from which int64 could overflow (2^23 · 2^40 = 2^63)
+_MAX_EVENTS = 1 << 23
+#: about the elements of one column temporary (F × events per chunk); larger
+#: chunks leave the cache and measured slower
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -67,29 +85,61 @@ class SpectrumConfig:
         return int(round((self.f_max - self.f_min) / self.df)) + 1
 
 
-def sparse_amplitude_spectrum(times_ns: np.ndarray, freqs_hz: np.ndarray) -> np.ndarray:
+def _columns(times_ns: np.ndarray, config: SpectrumConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 (n, F) fixed-point cos and sin columns of events at int64 ``times_ns``."""
+    n_samples, df = config.n_samples, config.df
+    fine = math.isqrt(n_samples - 1) + 1  # B = ⌈√F⌉ minimises ⌈F/B⌉ + B
+    t = (times_ns / SEC)[:, None]
+    base = t * (2.0 * np.pi * config.f_min)
+    phase = t * ((2.0 * np.pi) * (np.arange(fine) * df))
+    c, s, c0, s0 = np.cos(phase), np.sin(phase), np.cos(base), np.sin(base)
+    # e^{j2π(f_min + bδf)t} in fixed point (exactly: 2^40 is a power of two)
+    cb, sb = (c0 * c - s0 * s) * _ONE, (c0 * s + s0 * c) * _ONE
+    phase = t * ((2.0 * np.pi) * (np.arange(0, n_samples, fine) * df))
+    # column k = aB + b: factor a repeated B times, factor b tiled ⌈F/B⌉ times
+    ca, sa = np.repeat(np.cos(phase), fine, axis=1), np.repeat(np.sin(phase), fine, axis=1)
+    cb, sb = np.tile(cb, phase.shape[1]), np.tile(sb, phase.shape[1])
+    re = ca * cb
+    re -= sa * sb
+    im = np.multiply(ca, sb, out=ca)
+    im += np.multiply(sa, cb, out=sa)
+    np.rint(re, out=re)
+    np.rint(im, out=im)
+    return re[:, :n_samples].astype(np.int64), im[:, :n_samples].astype(np.int64)
+
+
+def _column_chunks(
+    times_ns: np.ndarray, config: SpectrumConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_columns` of the int64 ``times_ns``, a bounded chunk at a time."""
+    step = max(1, _CHUNK // config.n_samples)
+    for start in range(0, times_ns.size, step):
+        yield _columns(times_ns[start : start + step], config)
+
+
+def _check_sum(n_events: int) -> None:
+    if n_events >= _MAX_EVENTS:
+        raise ValueError(f"cannot sum {n_events} events: an int64 sum holds fewer than 2^23")
+
+
+def _amplitude(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return np.hypot(re, im) / _ONE
+
+
+def sparse_amplitude_spectrum(times_ns: np.ndarray, config: SpectrumConfig) -> np.ndarray:
     """Amplitude spectrum ``|Σ e^{-j 2π f t_i}|`` of events at ``times_ns``.
 
-    ``times_ns`` are integer nanoseconds; ``freqs_hz`` is the grid in Hz.
-    Returns an array of the same length as ``freqs_hz``.  An empty event
-    set yields all zeros.
+    ``times_ns`` are integer nanoseconds.  Returns one value per sample of
+    ``config.frequencies()``; an empty event set yields all zeros.
     """
-    times_ns = np.asarray(times_ns, dtype=np.float64)
-    freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
-    if times_ns.size == 0:
-        return np.zeros_like(freqs_hz)
-    t_sec = times_ns / SEC
-    # Chunk over frequencies to bound the (F x N) intermediate; real
-    # cos/sin on the phase matrix beats complex exp by ~2x.
-    out = np.empty_like(freqs_hz)
-    chunk = max(1, int(4_000_000 / max(t_sec.size, 1)))
-    for start in range(0, freqs_hz.size, chunk):
-        f = freqs_hz[start : start + chunk]
-        phase = (2.0 * np.pi) * np.outer(f, t_sec)
-        re = np.cos(phase).sum(axis=1)
-        im = np.sin(phase).sum(axis=1)
-        out[start : start + chunk] = np.hypot(re, im)
-    return out
+    times_ns = np.asarray(times_ns, dtype=np.int64)
+    _check_sum(times_ns.size)
+    re = np.zeros(config.n_samples, dtype=np.int64)
+    im = np.zeros_like(re)
+    for cos, sin in _column_chunks(times_ns, config):
+        re += cos.sum(axis=0)
+        im += sin.sum(axis=0)
+    return _amplitude(re, im)
 
 
 class Spectrum:
@@ -97,37 +147,17 @@ class Spectrum:
 
     Events enter with :meth:`add_event` / :meth:`add_events`;
     :meth:`slide_to` retires events older than the configured horizon.
-    Each event's contribution ``e^{-jωt}`` is one column of
-    ``(cos ωt, sin ωt)`` values over the frequency grid.  A column is
-    evaluated once, on the first :meth:`amplitude` call after its event
-    arrived, and kept until the event leaves the window: retirement only
-    advances the window's first column, and nothing is ever subtracted.
-    :meth:`amplitude` sums the window's columns row by row exactly as
-    :func:`sparse_amplitude_spectrum` sums its phase matrix, so the two
-    are bitwise equal.  :attr:`operations` counts the complex
+    The window's spectrum is two int64 running sums over the grid: the
+    first :meth:`amplitude` call after an event arrived adds its column,
+    and the first after :meth:`slide_to` retired it subtracts the column
+    again (an event retired before any read never gets one).  A read thus
+    costs F per event that came or went, and, the sums being exact, it is
+    bitwise equal to :func:`sparse_amplitude_spectrum` of the window's
+    times.  With a horizon, the summed columns are kept, in the blocks the
+    reads computed them in, until their events leave: 16 B per frequency
+    sample per windowed event.  :attr:`operations` counts the complex
     exponentiations of Eq. 3, charged when an event is added.
-
-    The columns live in two flat float64 buffers.  Row ``r`` of the
-    window (frequency sample ``r``, one value per windowed event) is the
-    contiguous run ``flat[r·stride + start : r·stride + stop]``, and the
-    stride is wider than the window, so every row ends in the slots that
-    the next row's retired columns held: new columns are written just past
-    the end of every row, retirement advances ``start``, and the window
-    drifts right through the buffers without anything being copied.  The
-    rows move (to the front, at a new stride if need be) only when the
-    window outgrows its stride, or has drifted ``_SLIDE`` columns.  The
-    buffers hold 16 B per frequency sample per windowed event, plus about
-    10% headroom in the stride and 16 B per column of drift room; they
-    resize in place (``ndarray.resize``), growing with the window and
-    shrinking once it has fallen well below the stride, so the window is
-    never held twice.
     """
-
-    #: rows moved per slice assignment when the rows move (bounds numpy's
-    #: temporary copy of an overlapping source)
-    _ROW_BLOCK = 64
-    #: columns the window may drift before its rows move back to the front
-    _SLIDE = 8192
 
     def __init__(self, config: SpectrumConfig | None = None, *, horizon_ns: int | None = None) -> None:
         self.config = config or SpectrumConfig()
@@ -136,15 +166,14 @@ class Spectrum:
         self.horizon_ns = horizon_ns
         #: complex exponentiations charged so far (Eq. 3 accounting)
         self.operations = 0
-        # the buffers own their memory (so they can resize in place); the
-        # column of window event k is at [r * _stride + _start + k] for row
-        # r, and events past the _stop - _start oldest ones have no column
-        # yet
-        self._cos = np.zeros(0)
-        self._sin = np.zeros(0)
-        self._stride = 0
-        self._start = 0
-        self._stop = 0
+        self._re = np.zeros(self.freqs.size, dtype=np.int64)
+        self._im = np.zeros_like(self._re)
+        #: how many of the oldest window events have their columns summed
+        self._summed = 0
+        #: with a horizon, the summed (cos, sin) columns in blocks, oldest first
+        self._blocks: deque[tuple[np.ndarray, np.ndarray]] = deque()
+        #: summed columns of retired events, subtracted at the next read
+        self._leaving = 0
 
     def __len__(self) -> int:
         return len(self._times)
@@ -179,86 +208,46 @@ class Spectrum:
         while times and times[0] < cutoff:
             times.popleft()
             retired += 1
-        # retired events without a column yet simply never get one
-        self._start = min(self._start + retired, self._stop)
+        leaving = min(retired, self._summed)
+        self._summed -= leaving
+        self._leaving += leaving
         return retired
 
     def reset(self) -> None:
-        """Drop all events (the next read shrinks the buffers if the new window is small)."""
+        """Drop all events."""
         self._times.clear()
-        self._start = self._stop = 0
+        self._re[:] = 0
+        self._im[:] = 0
+        self._summed = self._leaving = 0
+        self._blocks.clear()
         # operations counter intentionally preserved (cumulative cost)
-
-    def _rows(self, flat: np.ndarray, first: int) -> np.ndarray:
-        """``flat`` as ``(F, stride)`` rows, from column ``first`` of row 0."""
-        n_rows, stride = self.freqs.size, self._stride
-        return flat[first : first + n_rows * stride].reshape(n_rows, stride)
-
-    def _move_rows(self, stride: int) -> None:
-        """Move the window's rows to the front of the buffers, at ``stride``.
-
-        Row ``r`` moves from ``start + r·old`` to ``r·stride``.  The rows
-        that move left go first, from the first row on, and then the rest
-        from the last row back, so no row is overwritten before it has
-        moved; the buffers resize in place, widening before and narrowing
-        after.
-        """
-        n_rows, old = self.freqs.size, self._stride
-        start, live = self._start, self._stop - self._start
-        # a window that drifted _SLIDE columns still fits (see _add_columns)
-        size = (n_rows + 1) * stride + self._SLIDE
-        # rows before ``split`` move left (or stay)
-        split = n_rows if stride <= old else min(n_rows, start // (stride - old) + 1)
-        step = self._ROW_BLOCK
-        blocks = [(r, min(r + step, split)) for r in range(0, split, step)]
-        blocks += reversed([(r, min(r + step, n_rows)) for r in range(split, n_rows, step)])
-        for flat in (self._cos, self._sin):
-            if size > flat.size:
-                flat.resize(size, refcheck=False)
-            for r0, r1 in blocks if live else ():
-                src = flat[start + r0 * old : start + r1 * old].reshape(r1 - r0, old)[:, :live]
-                flat[r0 * stride : r1 * stride].reshape(r1 - r0, stride)[:, :live] = src
-            if size < flat.size:
-                flat.resize(size, refcheck=False)
-        self._stride, self._start, self._stop = stride, 0, live
-
-    def _add_columns(self, times_ns: list[int]) -> None:
-        """Evaluate and store the columns of ``times_ns`` (the newest
-        window events, oldest first)."""
-        n = len(times_ns)
-        need = self._stop - self._start + n
-        fit = need + max(need // 10, 16)
-        if need > self._stride or 4 * fit < 3 * self._stride:
-            # grow, or shrink once the window has fallen well below the stride
-            self._move_rows(fit)
-        elif self._start > self._SLIDE:
-            # out of drift room: back to the front
-            self._move_rows(self._stride)
-        # now _start <= _SLIDE and need <= _stride, so every row, read from
-        # any _start up to the new _stop, lies inside the buffers
-        # ((F + 1) · stride + _SLIDE)
-        # the same arithmetic, on the same contiguous shapes, as
-        # sparse_amplitude_spectrum: that is what makes the sums bitwise equal
-        t_sec = np.asarray(np.array(times_ns, dtype=np.int64), dtype=np.float64) / SEC
-        phase = (2.0 * np.pi) * np.outer(self.freqs, t_sec)
-        self._rows(self._cos, self._stop)[:, :n] = np.cos(phase)
-        self._rows(self._sin, self._stop)[:, :n] = np.sin(phase)
-        self._stop += n
 
     def amplitude(self) -> np.ndarray:
         """Current amplitude spectrum |S(f)| over the grid.
 
-        Bitwise equal to ``sparse_amplitude_spectrum(times, freqs)``.
+        Bitwise equal to ``sparse_amplitude_spectrum(times, config)``.
         """
+        while self._leaving:
+            cos, sin = self._blocks[0]
+            gone = min(self._leaving, len(cos))
+            self._re -= cos[:gone].sum(axis=0)
+            self._im -= sin[:gone].sum(axis=0)
+            self._leaving -= gone
+            if gone == len(cos):
+                self._blocks.popleft()
+            else:
+                self._blocks[0] = cos[gone:], sin[gone:]
         n = len(self._times)
-        if n == 0:
-            return np.zeros(self.freqs.size)
-        pending = n - (self._stop - self._start)
-        if pending:
-            self._add_columns(list(islice(reversed(self._times), pending))[::-1])
-        re = self._rows(self._cos, self._start)[:, :n].sum(axis=1)
-        im = self._rows(self._sin, self._start)[:, :n].sum(axis=1)
-        return np.hypot(re, im)
+        if n > self._summed:
+            _check_sum(n)
+            fresh = list(islice(reversed(self._times), n - self._summed))[::-1]
+            for cos, sin in _column_chunks(np.array(fresh, dtype=np.int64), self.config):
+                self._re += cos.sum(axis=0)
+                self._im += sin.sum(axis=0)
+                if self.horizon_ns is not None:
+                    self._blocks.append((cos, sin))
+            self._summed = n
+        return _amplitude(self._re, self._im)
 
     def normalized_amplitude(self) -> np.ndarray:
         """Amplitude spectrum scaled so its maximum is 1 (Figure 10)."""

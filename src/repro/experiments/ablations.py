@@ -389,10 +389,22 @@ def run_rate_change(*, n_frames_per_phase: int = 300) -> ExperimentResult:
     (and thus the correct reservation period) changes at run time; the
     analyser re-detects it and the loop re-converges, with the hysteresis
     bounding the adaptation latency.
+
+    The 50 fps row is the median of the estimates taken more than 4 s
+    after the switch, so the second phase (20 ms a frame) must outlast
+    those 4 s by a 100 ms sampling period: 206 frames per phase at least,
+    else ``ValueError``.
     """
     from repro.core import SelfTuningRuntime
     from repro.metrics import InterFrameProbe
 
+    settle, sampling = 4 * SEC, 100 * MS
+    least = (settle + sampling) // (20 * MS) + 1
+    if n_frames_per_phase < least:
+        raise ValueError(
+            f"n_frames_per_phase must be at least {least} for an estimate to follow "
+            f"the switch by more than {settle // SEC} s, got {n_frames_per_phase}"
+        )
     result = ExperimentResult(
         experiment="abl-rate-change",
         title="Tracking a mid-run rate change (25 fps → 50 fps)",
@@ -416,7 +428,7 @@ def run_rate_change(*, n_frames_per_phase: int = 300) -> ExperimentResult:
     task = rt.adopt(
         proc,
         feedback=LfsPlusPlus(),
-        controller_config=TaskControllerConfig(sampling_period=100 * MS),
+        controller_config=TaskControllerConfig(sampling_period=sampling),
         analyser_config=AnalyserConfig(spectrum=VIDEO_SPECTRUM, horizon_ns=2 * SEC),
     )
     switch_at = n_frames_per_phase * 40 * MS
@@ -435,7 +447,7 @@ def run_rate_change(*, n_frames_per_phase: int = 300) -> ExperimentResult:
     result.add_row(
         phase="50fps",
         period_detected_ms=float(
-            np.median([p for t, p in history if p and t > switch_at + 4 * SEC]) / MS
+            np.median([p for t, p in history if p and t > switch_at + settle]) / MS
         ),
         ift_mean_ms=float(ift[-max(n_frames_per_phase - 60, 10):].mean()),
     )

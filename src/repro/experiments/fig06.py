@@ -97,7 +97,7 @@ def run(
             for trace in traces:
                 w = window(trace, h_ns, duration)
                 t0 = time.perf_counter()
-                amp = sparse_amplitude_spectrum(w, freqs)
+                amp = sparse_amplitude_spectrum(w, config)
                 times_ms.append((time.perf_counter() - t0) * 1e3)
                 found = detector.detect(freqs, amp)
                 if found.frequency is not None:

@@ -46,7 +46,9 @@ def run(
     spectra: dict[float, list] = {}
     for h_s in horizons_s:
         h_ns = int(h_s * SEC)
-        spectra[h_s] = [sparse_amplitude_spectrum(window(t, h_ns, duration), freqs) for t in traces]
+        spectra[h_s] = [
+            sparse_amplitude_spectrum(window(t, h_ns, duration), config) for t in traces
+        ]
 
     for alpha in alphas:
         for eps in epsilons:

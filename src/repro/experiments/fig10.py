@@ -52,7 +52,7 @@ def _spectrum_unit(
     freqs = config.frequencies()
     upto = int(t_s * SEC)
     w = trace[trace < upto]
-    amp = sparse_amplitude_spectrum(w, freqs)
+    amp = sparse_amplitude_spectrum(w, config)
     peak = amp.max() if amp.size else 1.0
     norm = amp / peak if peak > 0 else amp
     curve = Series(name=f"tracing_{t_s}s")

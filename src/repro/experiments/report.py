@@ -47,7 +47,7 @@ BENCH_QUICK_OVERRIDES: dict[str, dict] = {
     "abl-boost": {"n_frames": 300},
     "abl-tracer-input": {"reps": 4},
     "abl-smp": {"n_players": 2, "n_frames": 150},
-    "abl-rate-change": {"n_frames_per_phase": 150},
+    "abl-rate-change": {"n_frames_per_phase": 210},
     "abl-detector": {"reps": 4},
     "abl-importance": {"n_frames": 300},
 }

@@ -235,7 +235,7 @@ class ReferenceAnalyser:
         if times.size < self.config.min_events:
             self.history.append((stamp, None))
             return None
-        amp = sparse_amplitude_spectrum(times, self._freqs)
+        amp = sparse_amplitude_spectrum(times, self.config.spectrum)
         result = scalar_detect(self.config.peaks, self._freqs, amp)
         if result.frequency is None or result.frequency <= 0:
             self.history.append((stamp, None))

@@ -16,8 +16,7 @@ def train_spectrum(period_ns, n_events, cfg, jitter_ns=0, seed=0):
     times = np.array(
         [j * period_ns + (rng.integers(-jitter_ns, jitter_ns + 1) if jitter_ns else 0) for j in range(n_events)]
     )
-    freqs = cfg.frequencies()
-    return freqs, sparse_amplitude_spectrum(times, freqs)
+    return cfg.frequencies(), sparse_amplitude_spectrum(times, cfg)
 
 
 class TestLocalMaxima:
@@ -65,7 +64,7 @@ class TestDetection:
         rng = np.random.default_rng(5)
         times = np.sort(rng.integers(0, 2 * SEC, size=300))
         freqs = self.CFG.frequencies()
-        amp = sparse_amplitude_spectrum(times, freqs)
+        amp = sparse_amplitude_spectrum(times, self.CFG)
         result = PeakDetector(PeakConfig(alpha=0.9, alpha_ref="max")).detect(freqs, amp)
         # with a hard threshold most noise candidates are cut; whatever
         # remains collects no harmonic support worth the name
@@ -161,7 +160,7 @@ class TestRecoveryProperty:
 
 @st.composite
 def grids(draw):
-    """Uniform grids from SpectrumConfig, down to one and two samples."""
+    """Uniform SpectrumConfig grids, down to one and two samples."""
     n = draw(st.sampled_from([1, 2, 3, 4]) | st.integers(min_value=5, max_value=600))
     df = draw(st.sampled_from([0.05, 0.1, 0.25, 1.0, 3.5]))
     f_min = draw(st.sampled_from([0.0, 0.5, 10.0]) | st.floats(min_value=0.0, max_value=60.0))
@@ -169,18 +168,19 @@ def grids(draw):
         cfg = SpectrumConfig(f_min=f_min, f_max=f_min + df / 4, df=df)
     else:
         cfg = SpectrumConfig(f_min=f_min, f_max=f_min + (n - 1) * df, df=df)
-    return cfg.frequencies()
+    return cfg
 
 
 @st.composite
-def spectra(draw, freqs):
+def spectra(draw, cfg):
+    freqs = cfg.frequencies()
     kind = draw(st.sampled_from(["zeros", "random", "ties", "edges", "train"]))
     if kind == "zeros":
         return np.zeros(freqs.size)
     if kind == "train":
         period_ms = draw(st.integers(min_value=5, max_value=200))
         n = draw(st.integers(min_value=1, max_value=80))
-        return sparse_amplitude_spectrum(np.arange(n, dtype=np.int64) * period_ms * MS, freqs)
+        return sparse_amplitude_spectrum(np.arange(n, dtype=np.int64) * period_ms * MS, cfg)
     values = st.floats(min_value=0.0, max_value=50.0)
     if kind == "ties":  # plateaus and exact ties between windows
         values = st.integers(min_value=0, max_value=3).map(float)
@@ -197,15 +197,16 @@ class TestVectorisedMatchesScalar:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        freqs=grids(),
+        grid=grids(),
         data=st.data(),
         alpha=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(min_value=0.0, max_value=2.0),
         epsilon=st.sampled_from([0.0, 0.05, 0.5, 7.0]) | st.floats(min_value=0.0, max_value=20.0),
         k_max=st.sampled_from([1, 10]) | st.integers(min_value=1, max_value=60),
         alpha_ref=st.sampled_from(["mean", "max"]),
     )
-    def test_detect_matches_scalar_reference(self, freqs, data, alpha, epsilon, k_max, alpha_ref):
-        amp = data.draw(spectra(freqs))
+    def test_detect_matches_scalar_reference(self, grid, data, alpha, epsilon, k_max, alpha_ref):
+        freqs = grid.frequencies()
+        amp = data.draw(spectra(grid))
         config = PeakConfig(alpha=alpha, epsilon=epsilon, k_max=k_max, alpha_ref=alpha_ref)
         got = PeakDetector(config).detect(freqs, amp)
         assert result_key(got) == result_key(scalar_detect(config, freqs, amp))

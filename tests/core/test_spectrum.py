@@ -1,10 +1,13 @@
 """Tests for the sparse amplitude spectrum."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import spectrum as spectrum_module
 from repro.core.spectrum import Spectrum, SpectrumConfig, expected_operations, sparse_amplitude_spectrum
 from repro.sim.time import MS, SEC
 
@@ -23,26 +26,26 @@ class TestConfig:
 
 class TestOneShot:
     def test_empty_events_all_zero(self):
-        freqs = np.array([1.0, 2.0])
-        assert np.all(sparse_amplitude_spectrum(np.array([]), freqs) == 0)
+        cfg = SpectrumConfig(f_min=1.0, f_max=2.0, df=1.0)
+        assert np.all(sparse_amplitude_spectrum(np.array([]), cfg) == 0)
 
     def test_single_event_flat_spectrum(self):
         # one Dirac delta has |S(f)| = 1 at every frequency
-        freqs = np.linspace(1, 100, 200)
-        amp = sparse_amplitude_spectrum(np.array([123456789]), freqs)
+        cfg = SpectrumConfig(f_min=1.0, f_max=100.0, df=99 / 199)
+        amp = sparse_amplitude_spectrum(np.array([123456789]), cfg)
+        assert amp.size == 200
         assert np.allclose(amp, 1.0)
 
     def test_n_coincident_events(self):
-        freqs = np.linspace(1, 50, 100)
-        amp = sparse_amplitude_spectrum(np.full(7, 10 * MS), freqs)
+        cfg = SpectrumConfig(f_min=1.0, f_max=50.0, df=49 / 99)
+        amp = sparse_amplitude_spectrum(np.full(7, 10 * MS), cfg)
         assert np.allclose(amp, 7.0)
 
     def test_periodic_train_peaks_at_fundamental(self):
         period = 40 * MS  # 25 Hz
         times = np.arange(50, dtype=np.int64) * period
         cfg = SpectrumConfig(f_min=5.0, f_max=100.0, df=0.1)
-        freqs = cfg.frequencies()
-        amp = sparse_amplitude_spectrum(times, freqs)
+        amp = sparse_amplitude_spectrum(times, cfg)
         for f0 in (25.0, 50.0, 75.0, 100.0):
             idx = int(round((f0 - 5.0) / 0.1))
             assert amp[idx] == pytest.approx(50.0, rel=1e-6), f0
@@ -51,21 +54,21 @@ class TestOneShot:
         assert amp[idx] < 10
 
     def test_linearity(self):
-        freqs = np.linspace(1, 20, 40)
+        cfg = SpectrumConfig(f_min=1.0, f_max=20.0, df=19 / 39)
         a = np.array([1 * MS, 5 * MS, 9 * MS], dtype=np.int64)
         b = np.array([2 * MS, 7 * MS], dtype=np.int64)
         # amplitudes are not additive, but the underlying transform is:
         # verify via the parallelogram-ish bound |S_ab| <= |S_a| + |S_b|
-        amp_ab = sparse_amplitude_spectrum(np.concatenate([a, b]), freqs)
-        amp_a = sparse_amplitude_spectrum(a, freqs)
-        amp_b = sparse_amplitude_spectrum(b, freqs)
+        amp_ab = sparse_amplitude_spectrum(np.concatenate([a, b]), cfg)
+        amp_a = sparse_amplitude_spectrum(a, cfg)
+        amp_b = sparse_amplitude_spectrum(b, cfg)
         assert np.all(amp_ab <= amp_a + amp_b + 1e-9)
 
     def test_amplitude_bounded_by_event_count(self):
         rng = np.random.default_rng(1)
         times = rng.integers(0, 2 * SEC, size=100)
-        freqs = np.linspace(1, 100, 500)
-        amp = sparse_amplitude_spectrum(times, freqs)
+        cfg = SpectrumConfig(f_min=1.0, f_max=100.0, df=99 / 499)
+        amp = sparse_amplitude_spectrum(times, cfg)
         assert np.all(amp <= 100.0 + 1e-9)
 
 
@@ -75,7 +78,7 @@ class TestIncremental:
         times = [3 * MS, 43 * MS, 83 * MS, 123 * MS]
         spec = Spectrum(cfg)
         spec.add_events(times)
-        expected = sparse_amplitude_spectrum(np.array(times), cfg.frequencies())
+        expected = sparse_amplitude_spectrum(np.array(times), cfg)
         assert np.allclose(spec.amplitude(), expected, atol=1e-6)
 
     def test_slide_retires_old_events_exactly(self):
@@ -84,9 +87,7 @@ class TestIncremental:
         spec.add_events([1 * MS, 50 * MS, 120 * MS, 180 * MS])
         retired = spec.slide_to(200 * MS)
         assert retired == 2
-        expected = sparse_amplitude_spectrum(
-            np.array([120 * MS, 180 * MS]), cfg.frequencies()
-        )
+        expected = sparse_amplitude_spectrum(np.array([120 * MS, 180 * MS]), cfg)
         assert np.allclose(spec.amplitude(), expected, atol=1e-6)
 
     def test_slide_without_horizon_is_noop(self):
@@ -137,21 +138,21 @@ class TestRecoveryProperty:
         )
         cfg = SpectrumConfig(f_min=f0 * 0.6, f_max=f0 * 1.4, df=0.1)
         freqs = cfg.frequencies()
-        amp = sparse_amplitude_spectrum(times, freqs)
+        amp = sparse_amplitude_spectrum(times, cfg)
         peak_f = freqs[int(np.argmax(amp))]
         assert abs(peak_f - f0) <= 0.25
 
 
 def one_shot(spec):
     """The oracle: the one-shot spectrum of the window's times."""
-    return sparse_amplitude_spectrum(np.array(spec.times, dtype=np.int64), spec.freqs)
+    return sparse_amplitude_spectrum(np.array(spec.times, dtype=np.int64), spec.config)
 
 
 class TestBatchedFoldIdentity:
     """The window's spectrum is the one-shot spectrum, bit for bit.
 
-    Columns are evaluated lazily and retired by index, never subtracted:
-    however events arrive (one at a time or in batches) and leave
+    Columns are evaluated lazily and summed, and subtracted, in exact
+    integers: however events arrive (one at a time or in batches) and leave
     (``slide_to``, ``reset``), ``amplitude()`` is bitwise equal to
     ``sparse_amplitude_spectrum`` of the window's times, and Eq. 3
     charges F operations per added event (retirement costs none).
@@ -187,9 +188,8 @@ class TestBatchedFoldIdentity:
         kept = [t for t in times if t >= now - horizon]
         assert retired == len(times) - len(kept) > 0
         assert spec.times == kept
-        assert np.array_equal(
-            spec.amplitude(), sparse_amplitude_spectrum(np.array(kept), spec.freqs)
-        )
+        expected = sparse_amplitude_spectrum(np.array(kept), spec.config)
+        assert np.array_equal(spec.amplitude(), expected)
         assert spec.operations == len(times) * spec.freqs.size
 
     def test_interleaved_batches_match_streaming(self):
@@ -227,39 +227,8 @@ class TestBatchedFoldIdentity:
         assert sp.times == [10 * MS, 20 * MS, 30 * MS]
         assert all(isinstance(t, int) for t in sp.times)
 
-    def test_column_buffers_grow_drift_move_back_and_shrink(self):
-        """The window grows (its rows widen from the last row back), holds
-        steady (it drifts through the buffers and, past its drift room,
-        moves back to the front), grows again after drifting (the first
-        rows move left and the rest right), then thins out (the rows
-        narrow); 151 rows move in three blocks each time, and every read
-        is the one-shot spectrum."""
-        moves = []
-
-        class Recording(Spectrum):
-            _SLIDE = 200  # the default drift room would outlast this test
-
-            def _move_rows(self, stride):
-                moves.append((self._stride, stride, self._start))
-                super()._move_rows(stride)
-
-        spec = Recording(self.GRIDS[3], horizon_ns=100 * MS)
-        clock = 0
-        for batch, spacing in [(5, 1)] + [(30, 1)] * 14 + [(30, 0.5)] * 4 + [(10, 3)] * 12:
-            times = [clock + int((k + 1) * spacing * MS) for k in range(batch)]
-            clock = times[-1]
-            spec.add_events(times)
-            spec.slide_to(clock)
-            assert np.array_equal(spec.amplitude(), one_shot(spec))
-        assert len(spec) == 34
-        assert any(new > old > 0 and start == 0 for old, new, start in moves)  # widen
-        assert any(new == old and start > Recording._SLIDE for old, new, start in moves)
-        # widen after drifting: row 0 moves left, the last row right
-        assert any(0 < old < new and 0 < (new - old) * 150 - start for old, new, start in moves
-                   if start > new - old)
-        assert any(0 < new < old for old, new, start in moves)  # narrow
-
-    # grids of 1, 2, 17 and 151 samples: 151 rows move in three blocks
+    # grids of 1, 2, 17 and 151 samples; 17 and 151 are not multiples of
+    # B = ⌈√F⌉ (5 and 13), so their last coarse step is cut short
     GRIDS = [
         SpectrumConfig(f_min=5.0, f_max=6.0, df=4.0),
         SpectrumConfig(f_min=5.0, f_max=6.0, df=1.0),
@@ -282,14 +251,12 @@ class TestBatchedFoldIdentity:
             max_size=40,
         ),
         origin=st.integers(0, 2**62),
-        slide=st.sampled_from([Spectrum._SLIDE, 0, 7]),
     )
-    def test_any_interleaving_matches_one_shot(self, grid, horizon, steps, origin, slide):
+    def test_any_interleaving_matches_one_shot(self, grid, horizon, steps, origin):
         """Property: whenever it is read, after any add/slide/reset
         sequence, the amplitude is the one-shot spectrum of ``spec.times``;
-        the Eq. 3 counter is always F per event ever added.  Small drift
-        rooms make the rows move back to the front often."""
-        spec = type("Drifting", (Spectrum,), {"_SLIDE": slide})(grid, horizon_ns=horizon)
+        the Eq. 3 counter is always F per event ever added."""
+        spec = Spectrum(grid, horizon_ns=horizon)
         clock = origin
         added = 0
         for op, arg in steps:
@@ -310,3 +277,63 @@ class TestBatchedFoldIdentity:
                 assert np.array_equal(spec.amplitude(), one_shot(spec))
             assert spec.operations == grid.n_samples * added
         assert np.array_equal(spec.amplitude(), one_shot(spec))
+
+
+def direct_amplitude(times_ns, config):
+    """The outside oracle: libm cos and sin of each sample's float64 phase,
+    summed exactly by ``math.fsum``."""
+    out = []
+    for f in config.frequencies():
+        phases = [2.0 * math.pi * float(f) * (t / SEC) for t in times_ns]
+        re = math.fsum(math.cos(p) for p in phases)
+        im = math.fsum(math.sin(p) for p in phases)
+        out.append(math.hypot(re, im))
+    return np.array(out)
+
+
+class TestDirectOracle:
+    """Both spectra against :func:`direct_amplitude`, within a bound fixed
+    from the arithmetic alone.
+
+    Per event and coordinate, the fixed-point column rounds by at most
+    2^-41.  The phases differ from the exact ``2πft`` by at most 3 float64
+    roundings of the largest phase Φ = 2π·f_max·t_max on the oracle's side
+    (``2π·f``, ``t/SEC``, their product), 4 on each factor's side (its
+    frequency, ``2π·f``, ``t/SEC``, their product) and 2 in the grid's
+    ``f_min + k·δf``: under 10 ulp(Φ) in all.  Trig and the three factors'
+    products round at most ~8 times at magnitudes ≤ 1: 2^-48 covers them.
+    A coordinate sum is then off by N times that, and an amplitude by √2
+    times a coordinate's bound.
+    """
+
+    GRIDS = TestBatchedFoldIdentity.GRIDS + [SpectrumConfig(f_min=20.0, f_max=100.0, df=0.1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from(GRIDS),
+        times=st.lists(st.integers(0, 1000 * SEC), max_size=40),
+    )
+    def test_within_rounding_of_direct_evaluation(self, grid, times):
+        phase = 2.0 * math.pi * grid.f_max * (max(times, default=0) / SEC)
+        tolerance = len(times) * math.sqrt(2) * (2**-41 + 10 * math.ulp(phase) + 2**-48)
+        expected = direct_amplitude(times, grid)
+        amp = sparse_amplitude_spectrum(np.array(times, dtype=np.int64), grid)
+        assert np.max(np.abs(amp - expected), initial=0.0) <= tolerance
+        spec = Spectrum(grid)
+        spec.add_events(times)
+        assert np.array_equal(spec.amplitude(), amp)
+
+    def test_sum_of_2_23_events_raises(self):
+        # a zero-stride view holds 2^23 events in 8 bytes
+        times = np.broadcast_to(np.int64(0), (1 << 23,))
+        with pytest.raises(ValueError, match="2\\^23"):
+            sparse_amplitude_spectrum(times, SpectrumConfig())
+
+    def test_window_guard_counts_the_whole_window(self, monkeypatch):
+        monkeypatch.setattr(spectrum_module, "_MAX_EVENTS", 4)
+        spec = Spectrum(SpectrumConfig())
+        spec.add_events([1, 2, 3])
+        spec.amplitude()
+        spec.add_event(4)
+        with pytest.raises(ValueError):
+            spec.amplitude()

@@ -31,7 +31,7 @@ from repro.obs.scenarios import TRACE_SCENARIOS
 
 #: registered experiment -> the ``run`` kwargs it is fingerprinted at
 EXPERIMENTS: dict[str, dict] = {
-    "fig13": {"n_frames": 60},
+    "fig13": {"n_frames": 300},
     "tab03": {"loads": (0.0, 0.3), "n_frames": 60},
     "events-vs-periodic": {"reps": 1, "n_frames": 200},
     "abl-predictors": {"n_frames": 60},
@@ -41,7 +41,7 @@ EXPERIMENTS: dict[str, dict] = {
     "abl-boost": {"n_frames": 60},
     "abl-importance": {"n_frames": 60},
     "abl-smp": {"n_frames": 60},
-    "abl-rate-change": {"n_frames_per_phase": 60},
+    "abl-rate-change": {"n_frames_per_phase": 210},
 }
 
 #: frames per fault-scenario playback
@@ -61,7 +61,7 @@ DIGESTS: dict[str, str] = {
         "4091ce296e021aa671c1ba39299acfaca7d0f8e558770f72f2080dc06ad2888f"
     ),
     "experiment/abl-rate-change": (
-        "440f3169df634131d241eddce9fc52b444c5d0d9b8e31d8afb9611909cf55b90"
+        "b0fee6609a590045bf554e3e75cbecb6c0b98f2a58f04640ded0d488c7fd39f0"
     ),
     "experiment/abl-sampling": (
         "ad933d1863385335ebc886728e9f4a5bdf437c6c9a6e799e43e1cbef45555156"
@@ -76,7 +76,7 @@ DIGESTS: dict[str, str] = {
         "a7dab1c33773673c27b240687f1b203f98bbc7e3d756cba169b7f2d2f7f35c4f"
     ),
     "experiment/fig13": (
-        "d38ef9ef5635e89fee205374449c477c1ccdbd6be3036a21307e068b2c3b7fd1"
+        "67f025df9b1edd74fe146b17beeda009ec7142edf6bcacdc1d64477d3eb8fc4d"
     ),
     "experiment/tab03": (
         "54d388de7c79b9acff154edb6a5f8fdea3d822235ae11a3a29555a793e48a2b6"

@@ -113,3 +113,11 @@ class TestSimulationExperiments:
         # frames) while the hardened arm keeps playing
         assert rows[(1.0, "on")]["frames_played"] >= rows[(1.0, "off")]["frames_played"]
         assert rows[(1.0, "on")]["watchdog_repairs"] > 0
+
+    def test_rate_change_needs_an_estimate_after_the_settle(self):
+        from repro.experiments import ablations
+
+        with pytest.raises(ValueError, match="at least 206"):
+            ablations.run_rate_change(n_frames_per_phase=205)
+        rows = ablations.run_rate_change(n_frames_per_phase=206).rows
+        assert [row["period_detected_ms"] for row in rows] == [40.0, 20.0]
