@@ -446,6 +446,7 @@ def _fleet(args) -> int:
     import time
 
     from repro.fleet import run_fleet
+    from repro.fleet.spec import SpecError
     from repro.sim.time import SEC
 
     specs, size = _fleet_specs(args.spec)
@@ -454,22 +455,26 @@ def _fleet(args) -> int:
             raise SystemExit(f"--limit must be >= 1, got {args.limit}")
         specs = itertools.islice(specs, args.limit)
         size = min(size, args.limit)
-    if args.fleet_command == "expand":
-        if args.json:
-            print(json.dumps([spec.to_jsonable() for spec in specs], indent=2, sort_keys=True))
-        else:
-            for spec in specs:
-                print(spec.name)
-            print(f"[{size} sims]")
-        return 0
-    t0 = time.perf_counter()
-    aggregate = run_fleet(
-        specs,
-        jobs=args.jobs,
-        chunksize=args.chunksize,
-        fast_forward=not args.no_fast_forward,
-        stream=args.stream,
-    )
+    # a template's scenarios are validated as they are expanded
+    try:
+        if args.fleet_command == "expand":
+            if args.json:
+                print(json.dumps([spec.to_jsonable() for spec in specs], indent=2, sort_keys=True))
+            else:
+                for spec in specs:
+                    print(spec.name)
+                print(f"[{size} sims]")
+            return 0
+        t0 = time.perf_counter()
+        aggregate = run_fleet(
+            specs,
+            jobs=args.jobs,
+            chunksize=args.chunksize,
+            fast_forward=not args.no_fast_forward,
+            stream=args.stream,
+        )
+    except SpecError as exc:
+        raise SystemExit(f"{args.spec}: {exc}") from None
     elapsed = time.perf_counter() - t0
     if args.json:
         payload = aggregate.to_jsonable()

@@ -17,6 +17,7 @@ without a second edit site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -81,6 +82,8 @@ class Knob:
             raise ValueError(f"{label} must be a number, got {value!r}")
         if self.kind == "int" and not isinstance(value, int):
             raise ValueError(f"{label} must be an integer, got {value!r}")
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{label} must be finite, got {value}")
         bad = (
             (self.lo is not None and (value < self.lo or (self.lo_open and value == self.lo)))
             or (self.hi is not None and (value > self.hi or (self.hi_open and value == self.hi)))

@@ -1,13 +1,13 @@
 """Content-addressed on-disk cache for :class:`ExperimentResult`.
 
-Every cache entry is keyed on the experiment *name*, the canonicalised
-``run()`` keyword arguments and a code digest covering the **entire**
-``repro`` package source tree (experiments depend on ``repro.sim``,
-``repro.core``, ``repro.workloads`` and on sibling experiment modules,
-e.g. fig07/fig08/fig09 reuse ``collect_traces`` from fig06 — so only the
-whole-tree digest makes invalidation sound), plus the experiment's own
-module when it lives outside the package (dynamically registered
-entries).  Therefore
+Every cache entry is keyed on the experiment *name*, the ``run()``
+keyword arguments as sorted-key compact JSON (:func:`canonical_kwargs`)
+and a code digest covering the **entire** ``repro`` package source tree
+(experiments depend on ``repro.sim``, ``repro.core``, ``repro.workloads``
+and on sibling experiment modules, e.g. fig07/fig08/fig09 reuse
+``collect_traces`` from fig06 — so only the whole-tree digest makes
+invalidation sound), plus the experiment's own module when it lives
+outside the package (dynamically registered entries).  Therefore
 
 - re-running with the same parameters is a hit,
 - changing any parameter is a miss,
@@ -21,11 +21,11 @@ invocation, which is the granularity that matters for the CLI and CI.
 
 Entries live under ``<cache_dir>/<experiment>/<key>.pkl`` (a pickled
 :class:`ExperimentResult`) next to a human-readable ``<key>.json`` with
-the key's provenance.  Writes go to a uniquely named temporary file in
-the same directory followed by ``os.replace``, so a crashed run never
+the key's provenance.  A hit is one ``open`` of the pickle, with no
+existence check before it.  Writes go to a uniquely named temporary file
+in the same directory followed by ``os.replace``, so a crashed run never
 leaves a truncated entry behind and concurrent writers of the same key
-cannot interleave; a corrupted entry is evicted on read and simply
-recomputed.
+cannot interleave; a corrupted entry is evicted on read and recomputed.
 
 The default cache directory is ``$REPRO_CACHE_DIR`` when set, else
 ``.repro-cache/`` under the current working directory (gitignored).
@@ -33,8 +33,8 @@ The default cache directory is ``$REPRO_CACHE_DIR`` when set, else
 
 from __future__ import annotations
 
-import hashlib
 import contextlib
+import hashlib
 import json
 import os
 import pickle
@@ -61,32 +61,36 @@ def default_cache_dir() -> Path:
 
 
 def canonical_kwargs(kwargs: dict) -> str:
-    """A stable text form of ``run()`` kwargs, independent of dict order.
+    """A stable text form of ``run()`` kwargs: sorted-key compact JSON.
 
-    Sequences are normalised (tuple vs list does not change the key),
-    floats go through ``repr`` (shortest round-trip form), and
-    non-literal values (callables such as a ``map_fn`` injected by the
-    runner) are rejected so execution strategy never leaks into the key.
+    Dict order is ignored at every level and a tuple keys like a list.
+    Floats are JSON numbers in shortest round-trip form, so a float never
+    keys like a string, and numpy scalars key as their Python values.
+    Any other non-literal (a ``map_fn`` the runner injects, a set) raises
+    ``TypeError``, so execution strategy never leaks into the key.
+
+    >>> canonical_kwargs({"h": (1.0, 2), "a": {"y": 1, "x": None}})
+    '{"a":{"x":null,"y":1},"h":[1.0,2]}'
+    >>> canonical_kwargs({"x": 1.0}) == canonical_kwargs({"x": "1.0"})
+    False
     """
-    return json.dumps(
-        {k: _canon(v) for k, v in sorted(kwargs.items())},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return _encode(kwargs)
 
 
-def _canon(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (tuple, list)):
-        return [_canon(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _canon(x) for k, x in sorted(v.items())}
-    if hasattr(v, "item"):  # numpy scalar
-        return _canon(v.item())
-    raise TypeError(f"kwarg value {v!r} is not cacheable (not a literal)")
+def _numpy_scalar(value):
+    """The encoder's hook for non-JSON values: ``np.int64`` and ``np.bool_`` key as Python's."""
+    if hasattr(value, "item"):
+        return value.item()
+    raise TypeError(f"kwarg value {value!r} is not cacheable (not a literal)")
+
+
+#: one encoder for every key text (``np.float64`` is a ``float`` and never reaches the hook)
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_numpy_scalar).encode
+
+
+def hashed_key(name: str, text: str, digest: str) -> str:
+    """The content hash of an already-encoded key text under ``name`` and ``digest``."""
+    return hashlib.sha256(f"{name}\0{text}\0{digest}".encode()).hexdigest()[:32]
 
 
 def code_digest(*modules) -> str:
@@ -160,13 +164,7 @@ class ResultCache:
 
     def key(self, name: str, kwargs: dict, digest: str) -> str:
         """The content hash for (experiment, kwargs, code digest)."""
-        h = hashlib.sha256()
-        h.update(name.encode())
-        h.update(b"\x00")
-        h.update(canonical_kwargs(kwargs).encode())
-        h.update(b"\x00")
-        h.update(digest.encode())
-        return h.hexdigest()[:32]
+        return hashed_key(name, canonical_kwargs(kwargs), digest)
 
     def key_for(self, name: str, kwargs: dict) -> str:
         """Key for a registered experiment, digesting its backing code.
@@ -187,30 +185,31 @@ class ResultCache:
 
     # -- storage ------------------------------------------------------
 
-    def _paths(self, name: str, key: str) -> tuple[Path, Path]:
-        d = self.root / name
-        return d / f"{key}.pkl", d / f"{key}.json"
+    def _paths(self, name: str, key: str) -> tuple[str, str]:
+        stem = os.path.join(self.root, name, key)
+        return stem + ".pkl", stem + ".json"
 
     def get(self, name: str, key: str) -> ExperimentResult | None:
         """Load an entry's result; evicts and misses on a corrupt pickle.
 
-        The ``.json`` sidecar is write-only provenance: a hit never reads
-        it, so a missing or garbled sidecar does not cost the entry.
+        A hit is one ``open``, with no existence check first.  The
+        ``.json`` sidecar is write-only provenance: a hit never reads it,
+        so a missing or garbled sidecar does not cost the entry.
         """
         pkl, meta = self._paths(name, key)
-        if not pkl.exists():
-            self.misses += 1
-            return None
         try:
-            with open(pkl, "rb") as fh:
-                result = pickle.load(fh)
+            with open(pkl, "rb", buffering=0) as fh:
+                result = pickle.loads(fh.readall())
             if not isinstance(result, ExperimentResult):
                 raise TypeError(f"cache entry holds {type(result).__name__}")
+        except (FileNotFoundError, NotADirectoryError):
+            self.misses += 1
+            return None
         except Exception:
             # corrupted / stale-format entry: evict and recompute
             for p in (pkl, meta):
                 with contextlib.suppress(OSError):
-                    p.unlink()
+                    os.unlink(p)
             self.misses += 1
             return None
         self.hits += 1
@@ -233,7 +232,7 @@ class ResultCache:
         last ``os.replace`` wins with a complete entry either way.
         """
         pkl, meta = self._paths(name, key)
-        pkl.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(pkl), exist_ok=True)
         info = {
             "experiment": name,
             "key": key,
@@ -247,8 +246,9 @@ class ResultCache:
         self._atomic_write(meta, lambda fh: fh.write(json.dumps(info, indent=2).encode("utf-8")))
 
     @staticmethod
-    def _atomic_write(dest: Path, write) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(dest.parent), prefix=f"{dest.name}.", suffix=".tmp")
+    def _atomic_write(dest: str, write) -> None:
+        directory, base = os.path.split(dest)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f"{base}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 write(fh)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import tomllib
 from collections.abc import Collection
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -52,9 +53,10 @@ def _ms_to_ns(value: Any, key: str, where: str) -> int:
     """Convert a TOML millisecond value (int or float) to integer ns."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{where}: {key!r} must be a number of milliseconds, got {value!r}")
-    if value < 0:
-        raise SpecError(f"{where}: {key!r} must be >= 0 ms, got {value!r}")
-    return round(value * MS)
+    ns = value * MS
+    if not 0 <= ns <= sys.float_info.max:
+        raise SpecError(f"{where}: {key!r} must be finite and >= 0 ms, got {value!r}")
+    return round(ns)
 
 
 def _require(table: dict[str, Any], key: str, where: str) -> Any:
@@ -75,8 +77,8 @@ def _scalar(value: Any, kind: str, key: str, where: str) -> Any:
     """Type-check one TOML value for a field of type ``kind``.
 
     ``str`` fields take the value's string form; ``int`` fields take
-    integers, ``float`` fields any number, ``bool`` fields only booleans
-    (a TOML boolean is never a number here).
+    integers, ``float`` fields any finite number, ``bool`` fields only
+    booleans (a TOML boolean is never a number here).
     """
     if kind == "str":
         return str(value)
@@ -87,9 +89,9 @@ def _scalar(value: Any, kind: str, key: str, where: str) -> Any:
     if not isinstance(value, bool):
         if kind == "int" and isinstance(value, int):
             return value
-        if kind == "float" and isinstance(value, (int, float)):
+        if kind == "float" and isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
             return float(value)
-    noun = "an integer" if kind == "int" else "a number"
+    noun = "an integer" if kind == "int" else "a finite number"
     raise SpecError(f"{where}: {key!r} must be {noun}, got {value!r}")
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,8 +107,11 @@ def parse_template(text: str) -> FleetTemplate:
         raise SpecError("template document: [jitter] must be a table")
     jitter: dict[str, float] = {}
     for path, amount in jitter_raw.items():
-        if isinstance(amount, bool) or not isinstance(amount, (int, float)) or amount <= 0:
-            raise SpecError(f"jitter: {path!r} must map to a positive number, got {amount!r}")
+        number = isinstance(amount, (int, float)) and not isinstance(amount, bool)
+        if not number or not 0 < amount <= sys.float_info.max:
+            raise SpecError(
+                f"jitter: {path!r} must map to a positive finite number, got {amount!r}"
+            )
         jitter[path] = float(amount)
 
     base_keys = ("scenario", "scheduler", "workload", "fault", "controller")

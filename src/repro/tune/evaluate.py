@@ -21,7 +21,10 @@ Every scored candidate is stored in the
 :class:`~repro.experiments.cache.ResultCache` under a canonical,
 bit-stable key (class + seed + horizon + objective + configuration +
 whole-``repro``-tree code digest), so re-running the same tuning spec
-replays entirely from disk: zero new simulations.
+replays entirely from disk: zero new simulations.  A candidate is
+encoded once: the JSON text of its class and configuration is its
+in-run memo key, and its disk key hashes the run's seed, horizon and
+objective, encoded once per run, followed by that text.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import ResultCache, canonical_kwargs, package_digest
+from repro.experiments.cache import ResultCache, canonical_kwargs, hashed_key, package_digest
 from repro.fleet.engine import WorkerPool, run_fleet
 from repro.fleet.summary import FleetAggregate
 from repro.tune.classes import WorkloadClass
@@ -113,18 +116,22 @@ class Evaluator:
         self.pool = pool
         #: the code digest every disk key carries, read once
         self._digest = package_digest() if cache is not None else ""
+        #: the run-wide part of every disk key text, encoded once
+        self._scope = canonical_kwargs(
+            {"seed": seed, "horizon_ns": horizon_ns, "objective": objective.to_jsonable()}
+        )
         self.evaluations = 0
         self.cache_hits = 0
         self.sims_run = 0
         #: simulations run per class name; numbers the fleet groups
         self._class_sims: dict[str, int] = {}
-        #: canonical (class, config) -> metrics, for repeats within one run
+        #: candidate text -> metrics, for repeats within one run
         self._memo: dict[str, dict[str, float]] = {}
 
     # -- keys ---------------------------------------------------------
 
     def _kwargs(self, workload_class: WorkloadClass, config: dict[str, Any]) -> dict[str, Any]:
-        """The full provenance of one evaluation (the cache-key payload)."""
+        """The full provenance of one evaluation, recorded in the cache sidecar."""
         return {
             "class": workload_class.name,
             "seed": self.seed,
@@ -133,59 +140,51 @@ class Evaluator:
             "config": dict(config),
         }
 
-    def _disk_key(self, workload_class: WorkloadClass, config: dict[str, Any]) -> str | None:
-        if self.cache is None:
-            return None
-        return self.cache.key(CACHE_EXPERIMENT, self._kwargs(workload_class, config), self._digest)
+    def _disk_key(self, workload_class: WorkloadClass, config: dict[str, Any]) -> str:
+        return self._text_key(_candidate_text(workload_class, config))
+
+    def _text_key(self, text: str) -> str:
+        """The disk key of a candidate text: run scope and candidate, hashed once."""
+        return hashed_key(CACHE_EXPERIMENT, self._scope + text, self._digest)
 
     # -- evaluation ---------------------------------------------------
 
     def evaluate_batch(self, candidates: list[Candidate]) -> list[float]:
         """Score every candidate, running only the cache misses."""
-        memo_keys = [
-            canonical_kwargs({"class": cls.name, "config": dict(config)})
-            for cls, config in candidates
-        ]
-        metrics = [
-            self._lookup(cls, config, memo_key)
-            for (cls, config), memo_key in zip(candidates, memo_keys, strict=True)
-        ]
+        texts = [_candidate_text(cls, config) for cls, config in candidates]
+        metrics = [self._lookup(text) for text in texts]
         misses = [i for i, m in enumerate(metrics) if m is None]
         if misses:
-            fresh = self._run_misses([candidates[i] for i in misses])
+            fresh = self._run_misses([(*candidates[i], texts[i]) for i in misses])
             for i, m in zip(misses, fresh, strict=True):
                 metrics[i] = m
         self.evaluations += len(candidates)
         scores = []
-        for memo_key, m in zip(memo_keys, metrics, strict=True):
+        for text, m in zip(texts, metrics, strict=True):
             assert m is not None
-            self._memo[memo_key] = m
+            self._memo[text] = m
             scores.append(m["score"])
         return scores
 
-    def _lookup(
-        self, workload_class: WorkloadClass, config: dict[str, Any], memo_key: str
-    ) -> dict[str, float] | None:
+    def _lookup(self, text: str) -> dict[str, float] | None:
         """In-run memo first, then the on-disk cache."""
-        hit = self._memo.get(memo_key)
+        hit = self._memo.get(text)
+        if hit is None and self.cache is not None:
+            result = self.cache.get(CACHE_EXPERIMENT, self._text_key(text))
+            if result is not None and result.rows:
+                row = result.rows[0]
+                hit = {k: float(v) for k, v in row.items() if isinstance(v, (int, float))}
         if hit is not None:
             self.cache_hits += 1
-            return hit
-        key = self._disk_key(workload_class, config)
-        if key is None or self.cache is None:
-            return None
-        result = self.cache.get(CACHE_EXPERIMENT, key)
-        if result is None or not result.rows:
-            return None
-        row = result.rows[0]
-        self.cache_hits += 1
-        return {k: float(v) for k, v in row.items() if isinstance(v, (int, float))}
+        return hit
 
-    def _run_misses(self, candidates: list[Candidate]) -> list[dict[str, float]]:
+    def _run_misses(
+        self, misses: list[tuple[WorkloadClass, dict[str, Any], str]]
+    ) -> list[dict[str, float]]:
         """One fleet run covering every miss; store each result on disk."""
         groups = []
         specs = []
-        for cls, config in candidates:
+        for cls, config, _ in misses:
             n = self._class_sims.get(cls.name, 0)
             self._class_sims[cls.name] = n + 1
             group = f"tune/{cls.name}/c{n:05d}"
@@ -196,7 +195,7 @@ class Evaluator:
         aggregate = run_fleet(specs, pool=self.pool)
         self.sims_run += len(specs)
         out: list[dict[str, float]] = []
-        for group, (cls, config) in zip(groups, candidates, strict=True):
+        for group, (cls, config, text) in zip(groups, misses, strict=True):
             sub = aggregate.groups[group]
             m = {
                 "score": self.objective.score(sub),
@@ -204,22 +203,22 @@ class Evaluator:
                 "lat_mean_ms": sub.lat_mean / 1e6,
                 "p99_ms": sub.quantile(0.99) / 1e6,
             }
-            self._store(cls, config, m)
+            self._store(cls, config, text, m)
             out.append(m)
         return out
 
     def _store(
-        self, workload_class: WorkloadClass, config: dict[str, Any], metrics: dict[str, float]
+        self, cls: WorkloadClass, config: dict[str, Any], text: str, metrics: dict[str, float]
     ) -> None:
         if self.cache is None:
             return
-        key = self._disk_key(workload_class, config)
-        assert key is not None
-        result = ExperimentResult(
-            experiment=CACHE_EXPERIMENT,
-            title=f"tune evaluation: {workload_class.name}",
-        )
+        result = ExperimentResult(experiment=CACHE_EXPERIMENT, title=f"tune evaluation: {cls.name}")
         result.add_row(**metrics)
         self.cache.put(
-            CACHE_EXPERIMENT, key, result, kwargs=self._kwargs(workload_class, config)
+            CACHE_EXPERIMENT, self._text_key(text), result, kwargs=self._kwargs(cls, config)
         )
+
+
+def _candidate_text(workload_class: WorkloadClass, config: dict[str, Any]) -> str:
+    """A candidate's one key text: its in-run memo key and the tail of its disk key."""
+    return canonical_kwargs({"class": workload_class.name, "config": config})

@@ -6,6 +6,8 @@ the registry itself must be internally consistent (defaults valid,
 search ranges inside validity ranges) and its validation actionable.
 """
 
+import math
+
 import pytest
 
 from repro.core.controller import TaskControllerConfig
@@ -67,6 +69,12 @@ class TestValidation:
     def test_int_knob_rejects_floats(self):
         with pytest.raises(ValueError, match="integer"):
             validate_knob("window", 8.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["spread", "quantile", "boost", "max_bandwidth"])
+    def test_float_knobs_reject_non_finite_values(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            validate_knob(name, value)
 
     def test_categorical_choices(self):
         validate_knob("policy", "soft")

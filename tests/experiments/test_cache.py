@@ -2,11 +2,14 @@
 
 import importlib.util
 import json
+import os
 import pickle
 import sys
 import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.experiments import REGISTRY, cache as cache_mod
@@ -18,6 +21,7 @@ from repro.experiments.cache import (
     package_digest,
     tree_digest,
 )
+from repro.experiments.report import BENCH_QUICK_OVERRIDES
 
 
 def _result(**rows) -> ExperimentResult:
@@ -40,6 +44,44 @@ class TestCanonicalKwargs:
     def test_non_literals_rejected(self):
         with pytest.raises(TypeError):
             canonical_kwargs({"map_fn": map})
+
+    @pytest.mark.parametrize("value", [{1, 2}, frozenset(), lambda: 0, object()])
+    def test_sets_callables_and_objects_rejected(self, value):
+        with pytest.raises(TypeError, match="not cacheable"):
+            canonical_kwargs({"x": value})
+
+    def test_float_and_string_differ(self):
+        assert canonical_kwargs({"x": 1.0}) != canonical_kwargs({"x": "1.0"})
+        assert canonical_kwargs({"x": [0.5]}) != canonical_kwargs({"x": ["0.5"]})
+
+    def test_numpy_float_keys_like_the_python_float(self):
+        assert canonical_kwargs({"x": np.float64(0.1)}) == canonical_kwargs({"x": 0.1})
+
+    @pytest.mark.parametrize(
+        ("scalar", "value"),
+        [(np.int64(7), 7), (np.int32(-3), -3), (np.bool_(True), True), (np.bool_(False), False)],
+    )
+    def test_numpy_scalars_key_like_python_values(self, scalar, value):
+        assert canonical_kwargs({"x": scalar}) == canonical_kwargs({"x": value})
+        assert canonical_kwargs({"x": [scalar]}) == canonical_kwargs({"x": (value,)})
+
+    def test_bool_and_int_differ(self):
+        assert canonical_kwargs({"x": True}) != canonical_kwargs({"x": 1})
+
+    def test_nested_dict_order_insensitive(self):
+        a = {"outer": {"b": {"y": 2, "x": 1}, "a": [1, {"q": 0, "p": 1}]}}
+        b = {"outer": {"a": [1, {"p": 1, "q": 0}], "b": {"x": 1, "y": 2}}}
+        assert canonical_kwargs(a) == canonical_kwargs(b)
+
+    def test_nan_keys_the_same_way_every_time(self):
+        nan = float("nan")
+        assert canonical_kwargs({"x": nan}) == canonical_kwargs({"x": float("nan")})
+        assert canonical_kwargs({"x": np.float64(nan)}) == canonical_kwargs({"x": nan})
+        assert canonical_kwargs({"x": nan}) != canonical_kwargs({"x": "nan"})
+
+    def test_floats_keep_their_round_trip_form(self):
+        text = canonical_kwargs({"x": 0.1, "y": 1e-300, "z": 2.0**60})
+        assert json.loads(text) == {"x": 0.1, "y": 1e-300, "z": 2.0**60}
 
 
 class TestKeys:
@@ -88,6 +130,12 @@ class TestKeys:
         # a module entry and a SimpleNamespace ablation entry both key
         assert cache.key_for("fig06", {}) != cache.key_for("abl-spread", {})
 
+    def test_every_registry_entry_keys_under_the_quick_overrides(self):
+        cache = ResultCache()
+        keys = {cache.key_for(name, BENCH_QUICK_OVERRIDES.get(name, {})) for name in REGISTRY}
+        assert len(keys) == len(REGISTRY)
+        assert all(len(k) == 32 and int(k, 16) >= 0 for k in keys)
+
     def test_key_for_tracks_whole_package_digest(self, monkeypatch):
         """Editing *any* repro source (simulator, workloads, a sibling
         experiment module) must invalidate every experiment's key."""
@@ -130,6 +178,31 @@ class TestStorage:
         cache = ResultCache(tmp_path)
         assert cache.get("fig06", "nope") is None
         assert cache.misses == 1
+
+    def test_miss_on_absent_or_file_shaped_experiment_directory(self, tmp_path):
+        cache = ResultCache(tmp_path / "absent")
+        assert cache.get("fig06", "k1") is None
+        (tmp_path / "absent").write_bytes(b"a file where the cache root should be")
+        assert cache.get("fig06", "k1") is None
+        assert cache.misses == 2 and cache.hits == 0
+
+    def test_hit_reads_the_entry_without_checking_for_it(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        result = _result(a=1)
+        cache.put("fig06", "k1", result)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the entry was checked for before it was read")
+
+        with monkeypatch.context() as m:
+            m.setattr(Path, "exists", forbidden)
+            m.setattr(Path, "is_file", forbidden)
+            m.setattr(os.path, "exists", forbidden)
+            m.setattr(os.path, "isfile", forbidden)
+            m.setattr(os, "stat", forbidden)
+            assert cache.get("fig06", "k1") == result
+            assert cache.get("fig06", "k2") is None
+        assert cache.hits == 1 and cache.misses == 1
 
     def test_corrupted_entry_is_evicted_and_recovered(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -161,6 +161,36 @@ class TestActionableErrors:
                 }
             )
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e305"])
+    @pytest.mark.parametrize("key", ["horizon_ms", "period_ms"])
+    def test_non_finite_milliseconds_name_the_key(self, key, value):
+        doc = {
+            "scenario": {"name": "n", "horizon_ms": 1.0},
+            "workload": [{"kind": "periodic", "name": "p", "cost_ms": 1.0, "period_ms": 2.0}],
+        }
+        table = doc["scenario"] if key == "horizon_ms" else doc["workload"][0]
+        table[key] = float(value)
+        with pytest.raises(SpecError, match=f"'{key}' must be finite"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("scale = 0.5", "scale = inf"),
+            ("spread = 0.2", "spread = nan"),
+            ("boost = 0.1", "boost = -inf"),
+        ],
+    )
+    def test_float_fields_must_be_finite(self, old, new):
+        text = SCENARIO if old in SCENARIO else ADAPTIVE_SCENARIO
+        with pytest.raises(SpecError, match=f"'{old.split()[0]}' must be a finite number"):
+            scenario_from_toml(text.replace(old, new))
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e305"])
+    def test_tune_horizon_must_be_finite(self, value):
+        with pytest.raises(SpecError, match="'horizon_ms' must be finite"):
+            tune_spec_from_toml(f'[tune]\nname = "t"\nhorizon_ms = {value}\n')
+
 
 ADAPTIVE_SCENARIO = """
 [scenario]

@@ -92,6 +92,13 @@ def test_unresolvable_grid_path_fails_fast():
         parse_template(text)
 
 
+@pytest.mark.parametrize("amount", ["0.0", "-1.0", "inf", "nan", "true", '"3"'])
+def test_jitter_amount_must_be_positive_and_finite(amount):
+    text = TEMPLATE.replace('"workload.a.phase_ms" = 3.0', f'"workload.a.phase_ms" = {amount}')
+    with pytest.raises(SpecError, match="jitter: 'workload.a.phase_ms' must map to a positive"):
+        parse_template(text)
+
+
 def test_template_table_required():
     with pytest.raises(SpecError, match="template"):
         parse_template("[scenario]\nhorizon_ms = 1.0\n")

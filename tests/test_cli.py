@@ -300,6 +300,15 @@ cost_ms = 1.0
         with pytest.raises(SystemExit, match="limit"):
             main(["fleet", "run", str(spec), "--limit", "0"])
 
+    @pytest.mark.parametrize("verb", ["expand", "run"])
+    @pytest.mark.parametrize("text", [SCENARIO, TEMPLATE], ids=["scenario", "template"])
+    def test_non_finite_milliseconds_are_a_usage_error(self, tmp_path, verb, text):
+        # a template's scenarios are only validated as they are expanded
+        spec = tmp_path / "s.toml"
+        spec.write_text(text.replace("horizon_ms = 200.0", "horizon_ms = inf"))
+        with pytest.raises(SystemExit, match="'horizon_ms' must be finite"):
+            main(["fleet", verb, str(spec)])
+
 
 class TestTune:
     SPEC = """

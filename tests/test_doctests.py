@@ -1,34 +1,43 @@
 """Run the doctests embedded in the library's docstrings and in docs/.
 
-Also hosts the documentation gates CI runs standalone: every example in
-the ``docs/*.md`` pages must execute (``doctest.testfile``), and every
-markdown cross-reference must resolve (``scripts/check_doc_links.py``).
+Every ``repro`` module is walked; each one with at least one example
+that is not ``+SKIP``-ped runs.  Also hosts the documentation gates CI
+runs standalone: every example in the ``docs/*.md`` pages must execute
+(``doctest.testfile``), and every markdown cross-reference must resolve
+(``scripts/check_doc_links.py``).
 """
 
 import doctest
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
 
-import repro.analysis.lint.engine
-import repro.analysis.lint.waivers
-import repro.analysis.response
-import repro.faults.plan
-import repro.sched.fp
-import repro.sim.time
+import repro
 
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
 
+
+def _runs_an_example(module) -> bool:
+    return any(
+        not example.options.get(doctest.SKIP)
+        for test in doctest.DocTestFinder().find(module)
+        for example in test.examples
+    )
+
+
 MODULES = [
-    repro.sim.time,
-    repro.sched.fp,
-    repro.analysis.response,
-    repro.faults.plan,
-    repro.analysis.lint.engine,
-    repro.analysis.lint.waivers,
+    module
+    for module in (
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith(".__main__")
+    )
+    if _runs_an_example(module)
 ]
 
 DOC_PAGES = sorted(DOCS.glob("*.md"))

@@ -6,11 +6,15 @@ in-run memo, reruns against the same cache directory replay from disk
 with **zero** new simulations.
 """
 
+import json
+
 import pytest
 
-from repro.experiments.cache import ResultCache
+from repro.experiments import cache as cache_mod
+from repro.experiments.cache import ResultCache, canonical_kwargs
+from repro.tune import evaluate
 from repro.tune.classes import WORKLOAD_CLASSES, controller_from_config
-from repro.tune.evaluate import Evaluator, Objective
+from repro.tune.evaluate import CACHE_EXPERIMENT, Evaluator, Objective
 
 #: a deliberately short horizon: these tests exercise the caching
 #: machinery, not the quality of the scores
@@ -137,3 +141,33 @@ class TestEvaluator:
             cache=ResultCache(tmp_path),
         )
         assert other_objective._disk_key(*A) != base
+
+    def test_warm_batch_encodes_each_candidate_once(self, tmp_path, monkeypatch):
+        a, b = make_evaluator(cache=ResultCache(tmp_path)).evaluate_batch([A, B])
+        texts = []
+
+        def counting(kwargs):
+            texts.append(canonical_kwargs(kwargs))
+            return texts[-1]
+
+        warm = make_evaluator(cache=ResultCache(tmp_path))
+        monkeypatch.setattr(evaluate, "canonical_kwargs", counting)
+        monkeypatch.setattr(cache_mod, "canonical_kwargs", counting)
+        assert warm.evaluate_batch([A, B, A]) == [a, b, a]
+        assert warm.evaluate_batch([B, A]) == [b, a]
+        assert len(texts) == 5  # one text per candidate: memo key and disk key alike
+        assert warm.sims_run == 0 and warm.cache_hits == 5
+        assert warm.cache.hits == 3  # the second batch is served by the memo
+
+    def test_sidecar_records_the_whole_provenance(self, tmp_path):
+        ev = make_evaluator(cache=ResultCache(tmp_path))
+        ev.evaluate_batch([A])
+        meta = tmp_path / CACHE_EXPERIMENT / f"{ev._disk_key(*A)}.json"
+        kwargs = json.loads(json.loads(meta.read_text())["kwargs"])
+        assert kwargs == {
+            "class": PERIODIC.name,
+            "seed": 3,
+            "horizon_ns": HORIZON_NS,
+            "objective": Objective().to_jsonable(),
+            "config": CONFIG_A,
+        }

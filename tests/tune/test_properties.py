@@ -7,11 +7,11 @@ a (clipped) inverse pair.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.tune.search import SEARCH_METHODS, run_search
-from repro.tune.space import ParamSpace, ParamSpec
+from repro.tune.space import ParamSpace, ParamSpec, SpaceError
 
 
 def spaces(max_dim=4):
@@ -86,3 +86,19 @@ def test_unit_cube_mapping_is_stable(space, data):
     for p, u in zip(space.params, unit):
         if p.kind == "float":
             assert p.unit(p.value(u)) == pytest.approx(u, abs=1e-9)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=finite, hi=finite, u=st.floats(allow_nan=False))
+@example(lo=0.99999, hi=13.99999, u=0.25)
+def test_float_axis_round_trip_is_a_fixed_point(lo, hi, u):
+    assume(lo < hi)
+    try:
+        p = ParamSpec(name="x", kind="float", lo=lo, hi=hi)
+    except SpaceError:
+        assume(False)  # hi - lo overflows: rejected, not an axis
+    x = p.value(u)
+    assert p.value(p.unit(x)) == x

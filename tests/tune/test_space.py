@@ -6,6 +6,8 @@ unit-cube mapping is bounds-respecting by construction, and malformed
 ``[[param]]`` declarations are rejected with the axis in the message.
 """
 
+import math
+
 import pytest
 
 from repro.core.knobs import CONTROLLER_KNOBS
@@ -48,6 +50,13 @@ class TestParamSpec:
         assert p.unit(-3.0) == 0.0
         assert p.unit(7.0) == 1.0
 
+    def test_float_round_trip_is_exact_where_the_quotient_misses(self):
+        p = ParamSpec(name="x", kind="float", lo=0.99999, hi=13.99999)
+        x = p.value(0.25)
+        assert x == 4.24999
+        assert (x - p.lo) / (p.hi - p.lo) != 0.25  # the plain quotient misses ...
+        assert p.value(p.unit(x)) == x  # ... and unit() steps back onto x
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -61,6 +70,24 @@ class TestParamSpec:
     def test_malformed_axes_rejected(self, kwargs):
         with pytest.raises(SpaceError):
             ParamSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "lo,hi,needle",
+        [
+            (0.0, math.inf, "'hi' must be a finite number"),
+            (-math.inf, 1.0, "'lo' must be a finite number"),
+            (math.nan, 1.0, "'lo' must be a finite number"),
+            (0.0, math.nan, "'hi' must be a finite number"),
+            (True, 2.0, "'lo' must be a finite number"),
+            ("0", 2.0, "'lo' must be a finite number"),
+            (0.0, None, "'hi' must be a finite number"),
+            (-1.5e308, 1.5e308, "overflows"),
+        ],
+    )
+    def test_non_finite_non_numeric_and_overflowing_bounds_rejected(self, lo, hi, needle):
+        for kind in ("float", "int"):
+            with pytest.raises(SpaceError, match=f"param 'axis'.*{needle}"):
+                ParamSpec(name="axis", kind=kind, lo=lo, hi=hi)
 
 
 class TestParamSpace:
@@ -141,3 +168,24 @@ class TestSpaceFromTables:
     def test_malformed_tables_rejected(self, table, needle):
         with pytest.raises(SpaceError, match=needle):
             space_from_tables([table])
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"name": "axis", "kind": "float", "lo": [1], "hi": 2.0},
+            {"name": "axis", "kind": "float", "lo": 0.0, "hi": "2.0"},
+            {"name": "axis", "kind": "float", "lo": 0.0, "hi": math.inf},
+            {"name": "axis", "kind": "int", "lo": math.nan, "hi": 4},
+            {"name": "axis", "kind": "float", "lo": False, "hi": 1.0},
+            {"name": "axis", "kind": "float", "lo": 0, "hi": 10**400},
+            {"name": "axis", "kind": "float", "lo": {"x": 1}, "hi": 1.0},
+        ],
+    )
+    def test_malformed_free_axis_bounds_name_the_param(self, table):
+        with pytest.raises(SpaceError, match="param 'axis': '(lo|hi)' must be a finite number"):
+            space_from_tables([table])
+
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, True, "0.3", [0.3]])
+    def test_malformed_knob_bounds_name_the_knob(self, bound):
+        with pytest.raises(SpaceError, match="param 'spread': 'hi' must be a finite number"):
+            space_from_tables([{"knob": "spread", "hi": bound}])
