@@ -50,30 +50,43 @@ def run(
             sparse_amplitude_spectrum(window(t, h_ns, duration), config) for t in traces
         ]
 
-    for alpha in alphas:
-        for eps in epsilons:
-            # α is applied relative to the spectrum maximum here: that is
-            # the variant that prunes noise-floor ripples and reproduces
-            # the several-fold cost reduction between the two Fig. 8 plots
-            detector = PeakDetector(PeakConfig(alpha=alpha, epsilon=eps, alpha_ref="max"))
-            for h_s in horizons_s:
-                times_us: list[float] = []
-                elements: list[int] = []
-                for amp in spectra[h_s]:
-                    t0 = time.perf_counter()
-                    for _ in range(detect_reps):
+    # the α cells of one (ε, H) are timed alternately on the same
+    # spectrum, one call each in turn and the first place alternating per
+    # rep, so host drift hits them alike; rows still come out α-major
+    cells = [(a, eps, h_s) for a in range(len(alphas)) for eps in epsilons for h_s in horizons_s]
+    times_us: dict[tuple, list[float]] = {cell: [] for cell in cells}
+    elements: dict[tuple, list[int]] = {cell: [] for cell in cells}
+    for eps in epsilons:
+        # α is applied relative to the spectrum maximum here: that is
+        # the variant that prunes noise-floor ripples and reproduces
+        # the several-fold cost reduction between the two Fig. 8 plots
+        detectors = [
+            (a, PeakDetector(PeakConfig(alpha=alpha, epsilon=eps, alpha_ref="max")))
+            for a, alpha in enumerate(alphas)
+        ]
+        for h_s in horizons_s:
+            for amp in spectra[h_s]:
+                spent = [0.0] * len(alphas)
+                examined = [0] * len(alphas)
+                for rep in range(detect_reps):
+                    for a, detector in detectors if rep % 2 == 0 else detectors[::-1]:
+                        t0 = time.perf_counter()
                         found = detector.detect(freqs, amp)
-                    times_us.append((time.perf_counter() - t0) / detect_reps * 1e6)
-                    elements.append(found.elements_examined)
-                t_mean, t_std = mean_std(times_us)
-                result.add_row(
-                    alpha=alpha,
-                    epsilon=eps,
-                    horizon_s=h_s,
-                    detect_us=t_mean,
-                    detect_us_std=t_std,
-                    elements_examined=int(sum(elements) / len(elements)),
-                )
+                        spent[a] += time.perf_counter() - t0
+                        examined[a] = found.elements_examined
+                for a, _ in detectors:
+                    times_us[a, eps, h_s].append(spent[a] / detect_reps * 1e6)
+                    elements[a, eps, h_s].append(examined[a])
+    for a, eps, h_s in cells:
+        t_mean, t_std = mean_std(times_us[a, eps, h_s])
+        result.add_row(
+            alpha=alphas[a],
+            epsilon=eps,
+            horizon_s=h_s,
+            detect_us=t_mean,
+            detect_us_std=t_std,
+            elements_examined=int(sum(elements[a, eps, h_s]) / len(elements[a, eps, h_s])),
+        )
     result.notes.append(
         "elements_examined is the Eq. 5 cost metric; wall time should track it"
     )

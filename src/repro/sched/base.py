@@ -62,7 +62,18 @@ class Scheduler(abc.ABC):
 
     @abc.abstractmethod
     def charge(self, proc: Process, delta: int, now: int) -> None:
-        """Account ``delta`` ns of CPU just consumed by ``proc`` ending at ``now``."""
+        """Account ``delta`` ns of CPU just consumed by ``proc`` ending at ``now``.
+
+        One call may cover several of the process's segments: while
+        :meth:`repro.sim.kernel.Kernel.run` chains them under the bound
+        :meth:`time_until_internal_event` returned, it charges their CPU
+        in one call where scheduler state is read (when the chain reaches
+        its limit, before the next instruction is fetched; before every
+        :meth:`on_ready`, :meth:`on_block`, :meth:`on_exit` and Label
+        probe; when the chain ends).  That is sound only under the
+        composition clause stated there: charges that stay within the
+        bound add up.
+        """
 
     def time_until_internal_event(self, proc: Process, now: int) -> int | None:
         """Upper bound (ns from ``now``) on how long ``proc`` may run
@@ -78,6 +89,17 @@ class Scheduler(abc.ABC):
         The kernel skips those two calls, so they must not change the
         policy's state either.  A policy that cannot promise this returns
         ``None``, and the kernel re-picks after every segment.
+
+        The bound also lets the kernel merge charges.  For ``0 < d1``
+        with ``d1 + d2 <= b``, and with no :meth:`on_ready`/
+        :meth:`on_block`/:meth:`on_exit` or calendar event in between,
+        ``charge(proc, d1, now + d1)`` then ``charge(proc, d2, now + d1 +
+        d2)`` must leave the same policy state as ``charge(proc, d1 + d2,
+        now + d1 + d2)``: cycle state, counters, exhaustion hook calls
+        and calendar pushes.  A policy that acts only when a budget,
+        slice or quantum reaches zero, and counts consumed time by
+        addition, satisfies it, since the bound puts that instant at the
+        end of the chain (:meth:`repro.sim.kernel.Kernel._settle`).
         """
         return None
 

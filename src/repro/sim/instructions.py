@@ -18,7 +18,6 @@ event fires) only after the process has been woken and scheduled again.
 
 from __future__ import annotations
 
-from repro.sim.syscalls import DEFAULT_COST_NS as _DEFAULT_COST
 from repro.sim.syscalls import SyscallNr, default_cost  # noqa: F401 - re-export
 
 
@@ -155,9 +154,9 @@ class Syscall(Instruction):
         if return_cost < 0:
             raise ValueError("return_cost must be >= 0")
         self.nr = nr
-        # dict hit instead of the default_cost() wrapper: one Syscall is
-        # built per call a workload issues
-        self.cost = _DEFAULT_COST[nr] if cost < 0 else cost
+        # the member's own attribute, not a lookup keyed on the enum: one
+        # Syscall is built per call a workload issues
+        self.cost = nr.default_ns if cost < 0 else cost
         self.block = block
         self.return_cost = return_cost
 

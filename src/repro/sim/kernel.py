@@ -14,9 +14,12 @@ Once a pick comes with an integer bound, steps 1–2 are skipped while the
 picked process runs on through consecutive segments (a *chain*): the
 bound, the next calendar event and the horizon are all still ahead, and
 nothing has changed the scheduler's or the calendar's state since the
-pick.  Every per-segment effect (clock, CPU accounting, one ``charge``
-per segment, the value sent into the program) is the same as with a
-re-pick after every segment; see :meth:`Kernel.run`.
+pick.  A chain charges its CPU in one ``charge`` call per point where
+scheduler state is read (:meth:`Kernel._settle`), not one per segment;
+the scheduler contract's composition clause makes that the same policy
+state.  Every other per-segment effect (clock, the value sent into the
+program, tracer calls) is the same as with a re-pick after every
+segment; see :meth:`Kernel.run`.
 
 System calls are traced through pluggable hooks (see
 :mod:`repro.tracer.qtrace`); each hook may add kernel CPU overhead to the
@@ -175,6 +178,10 @@ class Kernel:
         #: the budget) and on every traced-set change; ends ``run``'s
         #: current chain so the next segment starts with a fresh pick
         self._resched = False
+        #: the process ``run``'s current chain runs (None outside a
+        #: chain) and the clock its CPU is charged up to; see ``_settle``
+        self._chain: Process | None = None
+        self._charged_to = 0
 
     # ------------------------------------------------------------------
     # process management
@@ -199,6 +206,7 @@ class Kernel:
         self._admit(proc, now)
 
     def _admit(self, proc: Process, now: int) -> None:
+        self._settle()
         proc.state = ProcState.READY
         proc.start_time = now
         proc.woken_at = now
@@ -211,6 +219,7 @@ class Kernel:
             self._current = None
 
     def _exit(self, proc: Process, now: int) -> None:
+        self._settle()
         if self._obs is not None:
             self._obs.kernel_exit(proc, now)
         proc.state = ProcState.EXITED
@@ -287,6 +296,8 @@ class Kernel:
     # blocking / wake-up
     # ------------------------------------------------------------------
     def _wake(self, proc: Process, now: int) -> None:
+        if self._chain is not None:  # most wake-ups come from the calendar
+            self._settle()
         if proc.state is not ProcState.BLOCKED:
             return
         proc.wakeup_handle = None
@@ -298,6 +309,7 @@ class Kernel:
     def _block(self, proc: Process, spec: SleepUntil | SleepFor, now: int) -> bool:
         """Suspend ``proc`` per ``spec``.  Returns False if the block is a
         no-op (sleep deadline already passed)."""
+        self._settle()
         if isinstance(spec, SleepUntil):
             if spec.wake_at <= now:
                 return False
@@ -355,6 +367,7 @@ class Kernel:
         probes = self._label_probes.get(instr.name)
         if probes:
             # a probe may reach scheduler state (``set_params``, ``attach``)
+            self._settle()
             self._resched = True
             for probe in probes:
                 probe(proc, now, instr.payload)
@@ -448,6 +461,33 @@ class Kernel:
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
+    def _settle(self) -> None:
+        """Charge the CPU ``run``'s current chain has used since it was
+        last charged, to the process, the stats and the scheduler, in one
+        call; outside a chain, do nothing.
+
+        ``run`` settles where the scheduler's state is read: when a
+        segment ends at the chain's limit, before the next instruction
+        is fetched; at the top of every kernel path into scheduler state
+        (admission, wake-up, block, exit, a Label probe); and when the
+        chain ends, also by an exception.  Between two settle points
+        nothing reads that state, and the scheduler contract's
+        composition clause
+        (:meth:`~repro.sched.base.Scheduler.time_until_internal_event`)
+        makes the one ``charge`` leave the state the per-segment
+        charges would have left.
+        """
+        proc = self._chain
+        if proc is None:
+            return
+        now = self.clock
+        delta = now - self._charged_to
+        if delta:
+            self._charged_to = now
+            proc.cpu_time += delta
+            self.stats.busy_time += delta
+            self.scheduler.charge(proc, delta, now)
+
     def _dispatch_due(self) -> None:
         while True:
             ev = self.events.pop_due(self.clock)
@@ -475,8 +515,10 @@ class Kernel:
         ``min(remaining, b - run since the pick, next event, until)``.  The
         scheduler contract makes the skipped calls redundant: ``pick``
         would return the same process and ``time_until_internal_event``
-        ``b`` minus the time run since the pick.  The chain ends, and the
-        next segment starts with a fresh pick, when
+        ``b`` minus the time run since the pick.  Nor does the chain
+        charge after every segment: :meth:`_settle` charges what it ran
+        in one call where scheduler state is read.  The chain ends, and
+        the next segment starts with a fresh pick, when
 
         - the bound, the next calendar event or ``until`` is reached;
         - ``_resched`` is raised: admission, wake-up (which covers
@@ -486,7 +528,7 @@ class Kernel:
         - the calendar gained or lost an event since the peek (its push
           and live counters moved): a push may fall before the cached
           time, and a cancel may remove the event the chain would stop
-          at, where a re-pick would not split the segment's charge;
+          at, where a re-pick would not end the segment;
         - or the pick came with no bound (``None``: FP, EDF, a lone
           process under RR or stride), as stride's ``pick`` writes state.
 
@@ -630,77 +672,86 @@ class Kernel:
                         untraced = False
             pushes = events._seq
             live = events._live
-            while True:
-                clock += quantum
-                self.clock = clock
-                proc.cpu_time += quantum
-                stats.busy_time += quantum
-                segment.remaining -= quantum
-                charge(proc, quantum, clock)
-                segment = proc.segment
-                if segment is None or segment.remaining:
-                    break
-                kind = segment.kind
-                if kind is user or (
-                    segment.block is None
-                    and (not tracers or (untraced and not self._resched))
-                ):
-                    # inline ``_complete_segment``/``_finish_syscall``/
-                    # ``_fetch_next`` for the common case: a Compute, a
-                    # non-blocking syscall or a blocking call's return
-                    # completes, and the next Compute or Syscall refills
-                    # the finished segment (the process's own) in place
-                    if kind is not user:
-                        proc.syscall_count += 1
-                        stats.syscalls += 1
-                    proc.segment = None
-                    send = proc.program.send
-                    while True:
-                        try:
-                            instr = send(clock)
-                        except Exception as exc:  # noqa: BLE001 - crash containment
-                            self._program_ended(proc, exc, clock)
-                            segment = None
-                            break
-                        # ``type(...) is`` (not ``__class__``) narrows for mypy
-                        if type(instr) is Compute:
-                            if instr.duration > 0:
-                                segment.kind = user
-                                segment.remaining = instr.duration
-                                segment.syscall = None
-                                segment.block = None
-                                segment.entry_time = -1
+            self._chain = proc
+            self._charged_to = clock
+            try:
+                while True:
+                    clock += quantum
+                    self.clock = clock
+                    segment.remaining -= quantum
+                    segment = proc.segment
+                    if segment is None or segment.remaining:
+                        break
+                    if clock >= limit:
+                        # the bound may run out right here: its exhaustion,
+                        # hooks and traced-set change act before the next
+                        # instruction is fetched, as after a re-pick
+                        self._settle()
+                    kind = segment.kind
+                    if kind is user or (
+                        segment.block is None
+                        and (not tracers or (untraced and not self._resched))
+                    ):
+                        # inline ``_complete_segment``/``_finish_syscall``/
+                        # ``_fetch_next`` for the common case: a Compute, a
+                        # non-blocking syscall or a blocking call's return
+                        # completes, and the next Compute or Syscall refills
+                        # the finished segment (the process's own) in place
+                        if kind is not user:
+                            proc.syscall_count += 1
+                            stats.syscalls += 1
+                        proc.segment = None
+                        send = proc.program.send
+                        while True:
+                            try:
+                                instr = send(clock)
+                            except Exception as exc:  # noqa: BLE001 - crash containment
+                                self._program_ended(proc, exc, clock)
+                                segment = None
+                                break
+                            # ``type(...) is`` (not ``__class__``) narrows for mypy
+                            if type(instr) is Compute:
+                                if instr.duration > 0:
+                                    segment.kind = user
+                                    segment.remaining = instr.duration
+                                    segment.syscall = None
+                                    segment.block = None
+                                    segment.entry_time = -1
+                                    proc.segment = segment
+                                    break
+                            elif type(instr) is Syscall and (
+                                not tracers or (untraced and not self._resched)
+                            ):
+                                cost = instr.cost
+                                segment.kind = in_kernel
+                                segment.remaining = cost if cost > 1 else 1
+                                segment.syscall = instr
+                                segment.block = instr.block
+                                segment.entry_time = clock
                                 proc.segment = segment
                                 break
-                        elif type(instr) is Syscall and (
-                            not tracers or (untraced and not self._resched)
-                        ):
-                            cost = instr.cost
-                            segment.kind = in_kernel
-                            segment.remaining = cost if cost > 1 else 1
-                            segment.syscall = instr
-                            segment.block = instr.block
-                            segment.entry_time = clock
-                            proc.segment = segment
-                            break
-                        else:
-                            self._fetch_next(proc, instr)
-                            segment = proc.segment
-                            break
-                else:
-                    self._complete_segment(proc)
-                    segment = proc.segment
-                if (
-                    segment is None
-                    or clock >= limit
-                    or self._resched
-                    or events._seq != pushes
-                    or events._live != live
-                ):
-                    break
-                quantum = segment.remaining
-                if limit - clock < quantum:
-                    quantum = limit - clock
+                            else:
+                                self._fetch_next(proc, instr)
+                                segment = proc.segment
+                                break
+                    else:
+                        self._complete_segment(proc)
+                        segment = proc.segment
+                    if (
+                        segment is None
+                        or clock >= limit
+                        or self._resched
+                        or events._seq != pushes
+                        or events._live != live
+                    ):
+                        break
+                    quantum = segment.remaining
+                    if limit - clock < quantum:
+                        quantum = limit - clock
+            finally:
+                if clock != self._charged_to:
+                    self._settle()
+                self._chain = None
 
     def run_until_exit(self, procs: Iterable[Process], hard_limit: int) -> int:
         """Run until every process in ``procs`` exited (or ``hard_limit``).

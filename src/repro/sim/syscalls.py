@@ -46,6 +46,9 @@ class SyscallNr(Enum):
     WRITEV = "writev"
     QRES_GET_TIME = "qres_get_time"
 
+    #: the member's entry in :data:`DEFAULT_COST_NS`, set once below
+    default_ns: int
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
@@ -74,6 +77,14 @@ DEFAULT_COST_NS: dict[SyscallNr, int] = {
     SyscallNr.WRITEV: 2 * US,
     SyscallNr.QRES_GET_TIME: 1 * US,
 }
+
+
+# an attribute read instead of a table lookup: ``Syscall`` reads the
+# default once per call built, and hashing a member calls the
+# Python-level ``Enum.__hash__``
+for _nr, _cost in DEFAULT_COST_NS.items():
+    _nr.default_ns = _cost
+del _nr, _cost
 
 
 def default_cost(nr: SyscallNr) -> int:

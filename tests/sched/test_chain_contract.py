@@ -11,6 +11,13 @@ only sound if, for the picked process and any ``0 < d < b``, after
 - ``time_until_internal_event(proc, now + d)`` returns ``b - d``, and
 - neither call changes the policy's state, since the kernel skips both.
 
+A chain also charges its CPU in one call where scheduler state is read
+(:meth:`repro.sim.kernel.Kernel._settle`), not once per segment.  That
+rests on the composition clause: for ``0 < d1`` with ``d1 + d2 <= b``,
+``charge(d1)`` then ``charge(d2)`` leaves the same policy state as
+``charge(d1 + d2)``, with the same counters, exhaustion hook calls and
+calendar pushes.
+
 Following Ekiben (arXiv:2306.15076), the contract is checked here on
 each bounded policy in isolation, with no kernel loop in the way: a real
 kernel only drives a random prefix to reach a realistic state (throttled
@@ -19,11 +26,15 @@ then the test calls the scheduler directly.  FP and EDF never return a
 bound, so the kernel never chains under them.
 """
 
-from hypothesis import assume, given, settings
+from collections import deque
+
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.sched import CbsScheduler, RoundRobinScheduler, ServerParams, StrideScheduler
+from repro.sched.cbs import Server
 from repro.sim import Compute, Kernel, KernelConfig, MS, SleepFor, Syscall, SyscallNr, US
+from repro.sim.process import Process
 
 POLICIES = ("cbs-hard", "cbs-soft", "cbs-background", "rr", "stride")
 
@@ -65,6 +76,7 @@ state = st.fixed_dictionaries(
         "slice_us": st.integers(min_value=100, max_value=5_000),
         "prefix_us": st.integers(min_value=0, max_value=60_000),
         "pieces": st.lists(st.integers(min_value=1, max_value=1_000), min_size=1, max_size=6),
+        "to_bound": st.booleans(),
     }
 )
 
@@ -119,4 +131,92 @@ def test_bounded_pick_survives_charges_below_the_bound(sc):
         assert sched.pick(now) is proc
         assert sched.time_until_internal_event(proc, now) == bound - run
         assert sched.cycle_state(now) == state
+
+
+def _plain(value):
+    """``value`` comparable across two schedulers: processes as pids,
+    servers as their state, containers as tuples."""
+    if isinstance(value, Process):
+        return value.pid
+    if isinstance(value, Server):
+        return (
+            value.sid,
+            value.q,
+            value.deadline,
+            value.throttled,
+            _plain(value.ready),
+            value.slice_left,
+            value.consumed,
+            value.exhaustions,
+        )
+    if isinstance(value, (list, tuple, deque)):
+        return tuple(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(sorted((k, _plain(v)) for k, v in value.items()))
+    if isinstance(value, set):
+        return tuple(sorted(value))
+    return value
+
+
+def _observe(sched):
+    """Log every exhaustion hook call of ``sched``'s servers."""
+    calls: list = []
+    for server in getattr(sched, "servers", {}).values():
+        server.exhaustion_hook = lambda srv, now: calls.append((srv.sid, now))
+    return calls
+
+
+def _after(sched, calls):
+    """Everything a charge can leave behind: every policy field, the hook
+    calls and the kernel calendar (with the push order)."""
+    policy = {k: _plain(v) for k, v in vars(sched).items() if k != "kernel"}
+    calendar = [
+        (ev.time, ev.seq, ev.callback.__name__, _plain(ev.payload))
+        for ev in sched.kernel.events.snapshot()
+    ]
+    return policy, list(calls), calendar
+
+
+#: a throttled background-policy server: both members run, and are
+#: charged, in the best-effort class until the replenishment
+THROTTLED = {
+    "policy": "cbs-background",
+    "procs": [([(1, 0)], 0), ([(1, 0)], 0)],
+    "servers": [(1, 5)],
+    "slice_us": 100,
+    "prefix_us": 1030,
+    "pieces": [1, 2, 3],
+    "to_bound": True,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sc=state)
+@example(sc=THROTTLED)
+@example(sc={**THROTTLED, "to_bound": False})
+def test_charges_below_the_bound_compose(sc):
+    split, now = _reach(sc)
+    merged, _ = _reach(sc)
+    split_calls, merged_calls = _observe(split), _observe(merged)
+    proc = split.pick(now)
+    assume(proc is not None)
+    bound = split.time_until_internal_event(proc, now)
+    assume(bound is not None)
+    twin = merged.pick(now)
+    assert twin.pid == proc.pid
+    assert merged.time_until_internal_event(twin, now) == bound
+    # the chain runs ``total`` ns, up to the whole bound, cut into the
+    # pieces a kernel would settle at
+    total = bound if sc["to_bound"] else max(bound * sc["pieces"][0] // 1_001, 1)
+    weights = sum(sc["pieces"])
+    run = cut = 0
+    for piece in sc["pieces"]:
+        cut += piece
+        d = total * cut // weights - run
+        if d:
+            run += d
+            split.charge(proc, d, now + run)
+    assert run == total
+    merged.charge(twin, total, now + total)
+    assert _after(split, split_calls) == _after(merged, merged_calls)
 

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.sim.instructions import Compute, Fire, Label, SleepFor, SleepUntil, Syscall, WaitEvent
-from repro.sim.syscalls import SyscallNr, default_cost
+from repro.sim.syscalls import DEFAULT_COST_NS, SyscallNr, default_cost
+from repro.sim.time import US
 
 
 class TestCompute:
@@ -44,6 +45,37 @@ class TestSyscall:
         for nr in SyscallNr:
             assert default_cost(nr) > 0
             assert Syscall(nr).cost == default_cost(nr)
+
+    def test_every_default_cost_is_unchanged(self):
+        names_by_us = {
+            1: "clock_gettime gettimeofday lseek rt_sigaction qres_get_time",
+            2: "read write clock_nanosleep nanosleep futex close fstat brk writev",
+            3: "ioctl select poll stat",
+            4: "munmap mmap",
+            5: "open",
+        }
+        expected = {name: us * US for us, names in names_by_us.items() for name in names.split()}
+        assert {nr.value: Syscall(nr).cost for nr in SyscallNr} == expected
+        for nr in SyscallNr:
+            assert nr.default_ns == DEFAULT_COST_NS[nr] == default_cost(nr)
+
+    def test_building_a_syscall_does_not_hash_the_enum(self, monkeypatch):
+        # ``Enum.__hash__`` is a Python-level call; a table keyed on the
+        # member would pay it once per call a workload issues
+        hashed = []
+        plain = SyscallNr.__hash__
+
+        def counting(nr):
+            hashed.append(nr)
+            return plain(nr)
+
+        monkeypatch.setattr(SyscallNr, "__hash__", counting)
+        assert default_cost(SyscallNr.READ) and hashed == [SyscallNr.READ]
+        hashed.clear()
+        for nr in SyscallNr:
+            Syscall(nr)
+            Syscall(nr, block=SleepFor(1))
+        assert hashed == []
 
 
 # the frozen dataclasses the slotted block specs replaced, kept as the

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.scenarios import GOLDEN_DURATION_NS, build_scenario
-from repro.sched import RoundRobinScheduler
+from repro.sched import CbsScheduler, RoundRobinScheduler, ServerParams
 from repro.sim import (
     Compute,
     Kernel,
@@ -463,3 +463,110 @@ class TestSegmentRefill:
             None,
             -1,
         )
+
+
+class TestChainCharges:
+    """A chain charges the scheduler where its state is read, not once
+    per segment (``Kernel._settle``)."""
+
+    @staticmethod
+    def cbs_kernel(budget=5 * MS):
+        """A CBS kernel with one hard server; ``log`` records every
+        ``charge`` and ``on_ready`` call, by process name."""
+        cbs = CbsScheduler()
+        kernel = Kernel(cbs, KernelConfig(context_switch_cost=0))
+        server = cbs.create_server(ServerParams(budget, 10 * MS, "hard"))
+        log = []
+        charge, on_ready = cbs.charge, cbs.on_ready
+
+        def logged_charge(proc, delta, now):
+            log.append(("charge", proc.name, delta, now))
+            charge(proc, delta, now)
+
+        def logged_on_ready(proc, now):
+            log.append(("ready", proc.name, now))
+            on_ready(proc, now)
+
+        cbs.charge, cbs.on_ready = logged_charge, logged_on_ready
+        return kernel, cbs, server, log
+
+    @staticmethod
+    def waiter():
+        yield Syscall(SyscallNr.FUTEX, block=WaitEvent("go"))
+
+    def test_untraced_segments_in_one_budget_are_charged_once(self):
+        kernel, cbs, server, log = self.cbs_kernel()
+
+        def prog():
+            for _ in range(5):
+                yield Compute(100 * US)
+                yield Syscall(SyscallNr.WRITE, cost=10 * US)
+
+        proc = kernel.spawn("p", prog())
+        cbs.attach(proc, server)
+        kernel.run(2 * MS)
+        # ten segments, one charge, settled when the process exits
+        assert proc.syscall_count == 5
+        assert [e for e in log if e[0] == "charge"] == [("charge", "p", 550 * US, 550 * US)]
+        assert proc.cpu_time == server.consumed == kernel.stats.busy_time == 550 * US
+
+    def test_direct_fire_event_splits_the_charge_at_the_wake(self):
+        kernel, cbs, server, log = self.cbs_kernel()
+
+        def runner():
+            for _ in range(3):
+                yield Compute(100 * US)
+            kernel.fire_event("go")
+            for _ in range(3):
+                yield Compute(100 * US)
+
+        # the waiter stays in the background class and blocks at 2 us
+        kernel.spawn("waiter", self.waiter())
+        cbs.attach(kernel.spawn("runner", runner(), at=100 * US), server)
+        kernel.run(2 * MS)
+        start = log.index(("ready", "runner", 100 * US)) + 1
+        assert log[start : start + 3] == [
+            ("charge", "runner", 300 * US, 400 * US),
+            ("ready", "waiter", 400 * US),
+            ("charge", "runner", 300 * US, 700 * US),
+        ]
+
+    def test_budget_running_out_at_a_segment_end_acts_before_the_fetch(self):
+        kernel, cbs, server, log = self.cbs_kernel(budget=1 * MS)
+        hook_calls, seen = [], []
+        server.exhaustion_hook = lambda srv, now: hook_calls.append(now)
+
+        def prog():
+            yield Compute(400 * US)
+            yield Compute(600 * US)
+            # fetched as the budget runs out: the exhaustion came first
+            seen.append(server.exhaustions)
+            yield Compute(100 * US)
+
+        cbs.attach(kernel.spawn("p", prog()), server)
+        kernel.run(20 * MS)
+        assert hook_calls == [1 * MS] and seen == [1]
+        assert log[1] == ("charge", "p", 1 * MS, 1 * MS)
+
+    def test_unknown_instruction_mid_chain_settles_and_leaves_no_chain(self):
+        kernel, cbs, server, log = self.cbs_kernel()
+        waiter = kernel.spawn("waiter", self.waiter())
+        kernel.at(2 * MS, lambda now: kernel.fire_event("go"))
+
+        def prog():
+            yield Compute(300 * US)
+            yield Syscall(SyscallNr.WRITE, cost=10 * US)
+            yield 42
+
+        proc = kernel.spawn("p", prog(), at=100 * US)
+        cbs.attach(proc, server)
+        with pytest.raises(TypeError, match="program of p yielded 42"):
+            kernel.run(5 * MS)
+        assert proc.cpu_time == server.consumed == 310 * US
+        assert kernel.stats.busy_time == 312 * US
+        # running on: p exits, and the wake at 2 ms charges nothing to p
+        kernel.run(5 * MS)
+        assert waiter.state is ProcState.EXITED and proc.state is ProcState.EXITED
+        assert [e for e in log if e[:2] == ("charge", "p")] == [("charge", "p", 310 * US, 410 * US)]
+        assert proc.cpu_time == 310 * US
+

@@ -1,13 +1,23 @@
 """Segment chaining is invisible: :class:`Kernel` against the reference loop.
 
 :class:`tests.sim.reference_kernel.ReferenceKernel` dispatches, picks,
-peeks and asks for the scheduler's bound again after every segment.
-:class:`repro.sim.kernel.Kernel` skips all of that while it chains the
-picked process's segments.  Both must produce the same run, compared
-through everything a run leaves behind: the switch log, every ``charge``
-call, every value sent into a program, tracer and probe calls, the
+peeks, asks for the scheduler's bound and charges again after every
+segment.  :class:`repro.sim.kernel.Kernel` skips all of that while it
+chains the picked process's segments, and charges the chain's CPU only
+where scheduler state is read.  Both must produce the same run, compared
+through everything a run leaves behind: the switch log, the scheduler
+log, every value sent into a program, tracer and probe calls, the
 kernel's stats, each process's accounting and latency moments (floats by
 ``float.hex``), and the scheduler's cycle counters.
+
+The scheduler log is one stream of ``charge``, ``on_ready``,
+``on_block`` and ``on_exit`` calls, Label probes and CBS budget
+exhaustions, in call order.  Adjacent charges of one process are merged
+into one entry (the sum, stamped with the last ``now``): the scheduler
+contract's composition clause says the merged charge leaves the same
+policy state, and only the merged logs can be equal.  Every other entry
+separates two charges, so the stream still checks exactly where each
+charge is settled against every state change.
 
 The property test draws random programs over every instruction kind
 (including probes that reach scheduler state, bodies that call into the
@@ -190,16 +200,32 @@ def _scheduler(kind: str, slice_us: int):
 
 
 def _record(kernel: Kernel) -> dict[str, list]:
-    """Log every context switch and every ``charge`` call of ``kernel``."""
-    log: dict[str, list] = {"switch": [], "charge": []}
+    """Log every context switch and every scheduler call of ``kernel``;
+    adjacent charges of one process merge (see the module docstring)."""
+    log: dict[str, list] = {"switch": [], "sched": []}
     kernel.switch_hook = lambda proc, now: log["switch"].append((proc.pid, now))
-    plain_charge = kernel.scheduler.charge
+    sched = kernel.scheduler
+    stream = log["sched"]
+    plain_charge = sched.charge
 
     def charge(proc, delta, now):
-        log["charge"].append((proc.pid, delta, now))
+        last = stream[-1] if stream else None
+        if last is not None and last[0] == "charge" and last[1] == proc.pid:
+            stream[-1] = ("charge", proc.pid, last[2] + delta, now)
+        else:
+            stream.append(("charge", proc.pid, delta, now))
         plain_charge(proc, delta, now)
 
-    kernel.scheduler.charge = charge
+    def logged(name, plain):
+        def call(proc, now):
+            stream.append((name, proc.pid, now))
+            plain(proc, now)
+
+        return call
+
+    sched.charge = charge
+    for name in ("on_ready", "on_block", "on_exit"):
+        setattr(sched, name, logged(name, getattr(sched, name)))
     return log
 
 
@@ -222,16 +248,24 @@ def _build(kernel_cls, sc: dict):
         else:
             kernel.add_tracer(_CountingTracer(1_000, 2_000, log["tracer"]))
 
+    def exhausted(server, now: int) -> None:
+        """Log a budget exhaustion and change the traced set, which the
+        next fetch sees only if the exhaustion came before it."""
+        log["sched"].append(("exhausted", server.sid, now))
+        retrace(server.exhaustions)
+
     servers = []
     if sc["sched"].startswith("cbs"):
         policy = sc["sched"].split("-")[1]
         for budget_ms, period_ms in sc["servers"]:
             params = ServerParams(budget_ms * MS, period_ms * MS, policy)
             servers.append(sched.create_server(params))
+            servers[-1].exhaustion_hook = exhausted
 
     def probe(proc, now, payload):
         mag = payload["mag"]
         log["probe"].append((proc.pid, now, mag))
+        log["sched"].append(("probe", proc.pid, now))
         server = sched.server_of(proc) if servers else None
         if server is not None:
             budget = max(mag, 1) * 300 * US

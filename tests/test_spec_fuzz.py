@@ -6,7 +6,9 @@ floats including ``inf`` and ``nan``, booleans, arrays and inline
 tables.  Each document must either be rejected with a ``SpecError`` or a
 ``SpaceError``, or parse into a spec whose bounds and times are finite,
 so that no candidate of a tune and no simulation ever starts on a NaN
-or an infinite value.
+or an infinite value.  Fleet templates get the same treatment for their
+``[grid]`` and ``[jitter]`` tables: any value under any dotted path
+either expands or is a ``SpecError``.
 """
 
 import json
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.knobs import CONTROLLER_KNOBS
 from repro.fleet import scenario_from_toml
 from repro.fleet.spec import SpecError
+from repro.fleet.template import expand_template, parse_template
 from repro.tune import tune_spec_from_toml
 from repro.tune.space import SpaceError, default_config
 
@@ -113,3 +116,82 @@ def test_scenario_numbers_are_finite_or_rejected(ms):
     for ns in (spec.horizon_ns, spec.miss_threshold_ns, w.period_ns, w.cost_ns):
         assert isinstance(ns, int) and ns >= 0
     assert 0.0 <= w.jitter < 1.0
+
+
+FLEET_BASE = """
+[template]
+name = "fuzz"
+nodes = 2
+seed = 7
+
+[scenario]
+horizon_ms = 50.0
+
+[scheduler]
+kind = "cbs"
+policy = "hard"
+
+[[workload]]
+kind = "periodic"
+name = "p"
+cost_ms = 1.0
+period_ms = 10.0
+
+[[workload]]
+kind = "periodic"
+name = "q"
+cost_ms = 2.0
+period_ms = 20.0
+"""
+
+fields = st.sampled_from(
+    ["cost_ms", "period_ms", "phase_ms", "jitter", "count", "name", "kind", "policy", "x", ""]
+    + ["horizon_ms", "seed", "miss_threshold_ms", "budget_ms"]
+)
+#: dotted paths: into the base tables, into workloads by name (``*``,
+#: known, unknown), and any run of segments (unknown heads, too few or
+#: too many parts, fields holding a scalar walked into as a table)
+paths = st.one_of(
+    st.tuples(st.sampled_from(["scenario", "scheduler", "fault", "controller"]), fields),
+    st.tuples(st.just("workload"), st.sampled_from(["*", "p", "q", "nope"]), fields),
+    st.lists(fields | st.sampled_from(["workload", "scenario", "template", "*", "p"]), max_size=4),
+).map(".".join)
+#: grid values, with values the base document accepts, so some draws expand
+grid_values = st.sampled_from(["hard", "soft", "background", 2, 2.5]) | toml_values
+grid_tables = st.dictionaries(
+    paths, st.lists(grid_values, min_size=1, max_size=3) | toml_values, max_size=2
+)
+jitter_tables = st.dictionaries(paths, numbers, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=grid_tables,
+    jitter=jitter_tables,
+    # a [grid] or [jitter] that is not a table at all
+    misfit=st.sampled_from([None, None, None, None, "grid", "jitter"]),
+    value=toml_values.filter(lambda v: not isinstance(v, dict)),
+)
+@example(grid={"workload.*.cost_ms": [1, "x"]}, jitter={}, misfit=None, value=0)
+@example(
+    grid={"scenario.horizon_ms.x": [1]}, jitter={"workload.nope.cost_ms": 1.0}, misfit=None, value=0
+)
+@example(grid={}, jitter={"scheduler.policy": 1.0}, misfit=None, value=0)
+@example(grid={}, jitter={}, misfit="grid", value=[1, 2])
+@example(
+    grid={"scheduler.policy": ["hard", "soft"], "workload.*.cost_ms": [1, 2.5]},
+    jitter={"workload.p.phase_ms": 2.0},
+    misfit=None,
+    value=0,
+)
+def test_fleet_template_grid_and_jitter_raise_only_spec_errors(grid, jitter, misfit, value):
+    text = f"{misfit} = {toml(value)}\n" if misfit else ""
+    text += FLEET_BASE
+    for key, table in (("grid", grid), ("jitter", jitter)):
+        if key != misfit:
+            text += f"\n[{key}]\n" + "".join(f"{toml(k)} = {toml(v)}\n" for k, v in table.items())
+    try:
+        for _ in expand_template(parse_template(text)):
+            pass
+    except SpecError:
+        pass
