@@ -17,9 +17,11 @@ nothing has changed the scheduler's or the calendar's state since the
 pick.  A chain charges its CPU in one ``charge`` call per point where
 scheduler state is read (:meth:`Kernel._settle`), not one per segment;
 the scheduler contract's composition clause makes that the same policy
-state.  Every other per-segment effect (clock, the value sent into the
-program, tracer calls) is the same as with a re-pick after every
-segment; see :meth:`Kernel.run`.
+state.  A chained segment costs one generator resume and one refill of
+the process's own segment, and a sleep that wakes later blocks without
+leaving the chain's loop.  Every other per-segment effect (clock, the
+value sent into the program, tracer calls) is the same as with a re-pick
+after every segment; see :meth:`Kernel.run`.
 
 System calls are traced through pluggable hooks (see
 :mod:`repro.tracer.qtrace`); each hook may add kernel CPU overhead to the
@@ -300,7 +302,6 @@ class Kernel:
             self._settle()
         if proc.state is not ProcState.BLOCKED:
             return
-        proc.wakeup_handle = None
         proc.state = ProcState.READY
         proc.woken_at = now
         self._resched = True
@@ -331,7 +332,7 @@ class Kernel:
         self._unassign(proc)
         self._resched = True
         self.scheduler.on_block(proc, now)
-        proc.wakeup_handle = self.events.push(wake_at, self._wake_event, proc)
+        self.events.push(wake_at, self._wake_event, proc)
         return True
 
     def _wake_event(self, now: int, proc: Process) -> None:
@@ -525,22 +526,34 @@ class Kernel:
           ``Fire`` and direct :meth:`fire_event` calls), block, exit, a
           Label probe about to run, a switch cost charged to the budget
           after the pick, or a traced-set change;
-        - the calendar gained or lost an event since the peek (its push
-          and live counters moved): a push may fall before the cached
-          time, and a cancel may remove the event the chain would stop
-          at, where a re-pick would not end the segment;
+        - the calendar gained an event since the peek (its push counter
+          moved): a push may fall before the cached time;
         - or the pick came with no bound (``None``: FP, EDF, a lone
           process under RR or stride), as stride's ``pick`` writes state.
+
+        A cancel does not end the chain: it can only move the next event
+        later, so the chain stops early at the stale limit, and the
+        segment it cuts there is charged in two pieces that compose.
 
         Completing a ``Compute`` segment, a non-blocking ``Syscall`` or a
         blocking call's ``SYSCALL_RETURN``, and fetching the next
         ``Compute`` or ``Syscall``, happen inline while no attached tracer
-        traces the process; the next instruction refills the finished
-        segment, the process's own, in place.  Each pick asks every
-        tracer's ``traces`` once; a traced-set change raises ``_resched``
-        (see :class:`TracerHook`), and no syscall or return goes inline
-        while it is up.  Everything else (a blocking call's entry, traced
-        processes, ``Fire``, ``Label``, program exit) goes through
+        traces the process: one resume of the program's ``send``, bound
+        once per chain (a chain never changes process), and one refill of
+        the finished segment, the process's own, in place.
+        ``proc.segment`` keeps pointing at that segment while the program
+        runs; it is None only once an instruction goes to ``_fetch_next``
+        or the program ends.  Each pick asks every tracer's ``traces``
+        once; a traced-set change raises ``_resched`` (see
+        :class:`TracerHook`), and no syscall or return goes inline while
+        it is up.  A sleep's entry, a finished ``SYSCALL`` segment whose
+        ``SleepUntil`` or ``SleepFor`` wakes after now, blocks inline,
+        traced or not (an entry calls no tracer hook), in ``_block``'s
+        order: settle, ``BLOCKED``, ``_current`` cleared, ``_resched``
+        raised, ``on_block``, the wake-up pushed, and the segment turned
+        into its ``SYSCALL_RETURN``.  Everything else (a ``WaitEvent`` or
+        an expired sleep, traced processes' syscalls and returns,
+        ``Fire``, ``Label``, program exit) goes through
         ``_complete_segment`` and ``_fetch_next``, the helpers the
         multicore kernel also uses.
 
@@ -554,6 +567,8 @@ class Kernel:
         events = self.events
         pop_due = events.pop_due
         peek_time = events.peek_time
+        push = events.push
+        wake_event = self._wake_event
         scheduler = self.scheduler
         pick = scheduler.pick
         charge = scheduler.charge
@@ -565,9 +580,11 @@ class Kernel:
         charge_switch = self.config.charge_switch_to_budget
         running = ProcState.RUNNING
         ready = ProcState.READY
+        blocked = ProcState.BLOCKED
         exited = ProcState.EXITED
         user = SegmentKind.USER
         in_kernel = SegmentKind.SYSCALL
+        in_return = SegmentKind.SYSCALL_RETURN
         while self.clock < until:
             if self._stop_run:
                 return
@@ -671,16 +688,16 @@ class Kernel:
                     if tracer.traces(proc):
                         untraced = False
             pushes = events._seq
-            live = events._live
+            send = proc.program.send
             self._chain = proc
             self._charged_to = clock
             try:
                 while True:
                     clock += quantum
                     self.clock = clock
-                    segment.remaining -= quantum
-                    segment = proc.segment
-                    if segment is None or segment.remaining:
+                    remaining = segment.remaining - quantum
+                    segment.remaining = remaining
+                    if remaining:
                         break
                     if clock >= limit:
                         # the bound may run out right here: its exhaustion,
@@ -696,16 +713,16 @@ class Kernel:
                         # ``_fetch_next`` for the common case: a Compute, a
                         # non-blocking syscall or a blocking call's return
                         # completes, and the next Compute or Syscall refills
-                        # the finished segment (the process's own) in place
+                        # the finished segment (the process's own) in place;
+                        # ``proc.segment`` keeps pointing at it meanwhile
                         if kind is not user:
                             proc.syscall_count += 1
                             stats.syscalls += 1
-                        proc.segment = None
-                        send = proc.program.send
                         while True:
                             try:
                                 instr = send(clock)
                             except Exception as exc:  # noqa: BLE001 - crash containment
+                                proc.segment = None
                                 self._program_ended(proc, exc, clock)
                                 segment = None
                                 break
@@ -717,7 +734,6 @@ class Kernel:
                                     segment.syscall = None
                                     segment.block = None
                                     segment.entry_time = -1
-                                    proc.segment = segment
                                     break
                             elif type(instr) is Syscall and (
                                 not tracers or (untraced and not self._resched)
@@ -728,22 +744,40 @@ class Kernel:
                                 segment.syscall = instr
                                 segment.block = instr.block
                                 segment.entry_time = clock
-                                proc.segment = segment
                                 break
                             else:
+                                proc.segment = None
                                 self._fetch_next(proc, instr)
                                 segment = proc.segment
                                 break
                     else:
+                        block = segment.block
+                        wake_at = clock
+                        if type(block) is SleepUntil:
+                            wake_at = block.wake_at
+                        elif type(block) is SleepFor:
+                            wake_at += block.duration
+                        if wake_at > clock:
+                            # inline ``_complete_segment``/``_block`` for a
+                            # sleep's entry, traced or not (an entry calls no
+                            # tracer hook), in ``_block``'s order; the
+                            # finished segment becomes its return path
+                            self._settle()
+                            proc.state = blocked
+                            self._current = None
+                            self._resched = True
+                            scheduler.on_block(proc, clock)
+                            push(wake_at, wake_event, proc)
+                            call = segment.syscall
+                            assert call is not None
+                            ret = call.return_cost
+                            segment.kind = in_return
+                            segment.remaining = ret if ret > 1 else 1
+                            segment.block = None
+                            break
                         self._complete_segment(proc)
                         segment = proc.segment
-                    if (
-                        segment is None
-                        or clock >= limit
-                        or self._resched
-                        or events._seq != pushes
-                        or events._live != live
-                    ):
+                    if segment is None or clock >= limit or self._resched or events._seq != pushes:
                         break
                     quantum = segment.remaining
                     if limit - clock < quantum:
@@ -778,5 +812,5 @@ class Kernel:
             finally:
                 self._exit_watch = None
                 self._stop_run = False
-        last_exit = max((p.exit_time or self.clock) for p in procs)
-        return last_exit
+        # an exit at time 0 is an exit: test for None, not for falsiness
+        return max(self.clock if p.exit_time is None else p.exit_time for p in procs)

@@ -177,7 +177,6 @@ class Process:
         "start_time",
         "syscall_count",
         "sched_data",
-        "wakeup_handle",
         "started",
         "crash",
         "sched_latency",
@@ -191,7 +190,9 @@ class Process:
         self.program = program
         self.state = ProcState.NEW
         #: the work in progress: :attr:`own_segment` while the process
-        #: has CPU work pending, None when it must fetch an instruction
+        #: has CPU work pending, None when an instruction must be fetched
+        #: out of line (``Kernel.run``'s inline fetch keeps the finished
+        #: segment here until the next instruction refills it)
         self.segment: Segment | None = None
         #: the one segment the kernel refills for this process
         self.own_segment = Segment(SegmentKind.USER, 0)
@@ -205,8 +206,6 @@ class Process:
         self.syscall_count = 0
         #: opaque slot for the scheduler (run-queue node, server ref, ...)
         self.sched_data: object | None = None
-        #: event handle for a pending wake-up (sleep), if any
-        self.wakeup_handle: object | None = None
         #: whether the program generator has been started (first ``next``)
         self.started = False
         #: the exception that killed the program, if any (see

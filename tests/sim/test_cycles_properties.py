@@ -110,6 +110,32 @@ class TestRandomPeriodicSets:
         assert report.skipped_ns > 0
 
 
+class TestStrideSplitRuns:
+    """Named stride sets whose fast-forward run differs from one full run."""
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: stride's split runs do not compose")
+    @pytest.mark.parametrize(
+        "tasks",
+        [
+            # two tasks already differ, with no cycle detected
+            [(8 * MS, 15, 5), (8 * MS, 23, 5)],
+            # ROADMAP item 1's set, where a cycle is detected
+            [(8 * MS, 5, 5), (8 * MS, 13, 7), (32 * MS, 5, 5)],
+        ],
+        ids=["two-tasks", "roadmap-item-1"],
+    )
+    def test_fast_forward_equals_full_run(self, tasks):
+        k_full = _build("stride", tasks)
+        fin_full = attach_digest(k_full)
+        k_full.run(HORIZON)
+
+        k_ff = _build("stride", tasks)
+        fin_ff = attach_digest(k_ff)
+        run_fast_forward(k_ff, HORIZON)
+
+        assert fin_ff() == fin_full()
+
+
 class TestDesktopInterference:
     @settings(max_examples=10, deadline=None)
     @given(kind=schedulers, tasks=task_sets, n_desktop=st.integers(1, 2))

@@ -428,13 +428,16 @@ class TestSegmentRefill:
 
         monkeypatch.setattr(Segment, "__init__", counting_init)
         kernel = build_scenario("cbs-background")
-        block = kernel._block
+        scheduler = kernel.scheduler
+        on_block = scheduler.on_block
 
-        def counting_block(proc, spec, now):
-            blocked.append(block(proc, spec, now))
-            return blocked[-1]
+        def counting_on_block(proc, now):
+            # every block, inline or through ``_block``, and every exit
+            # through the default ``Scheduler.on_exit``
+            blocked.append(True)
+            on_block(proc, now)
 
-        kernel._block = counting_block
+        scheduler.on_block = counting_on_block
         kernel.run(GOLDEN_DURATION_NS)
         assert kernel.stats.syscalls > 1_000 and sum(blocked) > 100
         # at most one per blocking call plus one per process; in fact one
@@ -570,3 +573,107 @@ class TestChainCharges:
         assert [e for e in log if e[:2] == ("charge", "p")] == [("charge", "p", 310 * US, 410 * US)]
         assert proc.cpu_time == 310 * US
 
+
+class TestInlineSleep:
+    """A sleep that wakes later blocks inside ``Kernel.run``'s chain; a
+    ``WaitEvent``, an expired sleep and a traced return take the helpers."""
+
+    class _TracesOne(TestTracerHooks._CountingTracer):
+        """Traces the process called ``name`` only."""
+
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def traces(self, proc):
+            return proc.name == self.name
+
+    @staticmethod
+    def helper_log(kernel):
+        """Log each ``_complete_segment`` call (process, segment kind, block
+        type) and each ``_block`` call (process, spec type)."""
+        calls = []
+        complete, block = kernel._complete_segment, kernel._block
+
+        def logged_complete(proc):
+            seg = proc.segment
+            calls.append(("complete", proc.name, seg.kind.value, type(seg.block).__name__))
+            complete(proc)
+
+        def logged_block(proc, spec, now):
+            calls.append(("block", proc.name, type(spec).__name__))
+            return block(proc, spec, now)
+
+        kernel._complete_segment, kernel._block = logged_complete, logged_block
+        return calls
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_future_sleeps_never_reach_the_helpers(self, traced):
+        kernel, cbs, server, log = TestChainCharges.cbs_kernel()
+        calls = self.helper_log(kernel)
+        tracer = self._TracesOne("p" if traced else "nobody")
+        kernel.add_tracer(tracer)
+        blocks, woke = [], []
+        on_block = cbs.on_block
+
+        def logged_on_block(proc, now):
+            blocks.append(now)
+            on_block(proc, now)
+
+        cbs.on_block = logged_on_block
+
+        def prog():
+            yield Compute(100 * US)
+            woke.append((yield Syscall(SyscallNr.NANOSLEEP, cost=10 * US, block=SleepFor(1 * MS))))
+            yield Compute(100 * US)
+            sleep = SleepUntil(3 * MS)
+            woke.append((yield Syscall(SyscallNr.CLOCK_NANOSLEEP, cost=10 * US, block=sleep)))
+            yield Compute(100 * US)
+
+        proc = kernel.spawn("p", prog())
+        cbs.attach(proc, server)
+        kernel.run(5 * MS)
+        # two sleeps, then the exit (the default ``on_exit`` blocks)
+        assert blocks == [110 * US, 1_220_500, 3_100_500]
+        # each return runs the default 500 ns after its wake-up
+        assert woke == [1_110_500, 3_000_500]
+        # no sleep's entry reached ``_complete_segment`` or ``_block``
+        if traced:
+            # the returns still take the helper and the exit hook
+            assert calls == [("complete", "p", "syscall_return", "NoneType")] * 2
+            assert [e[2] for e in tracer.entries] == [100 * US, 1_210_500]
+            assert [e[2] for e in tracer.exits] == woke
+        else:
+            assert calls == [] and tracer.entries == tracer.exits == []
+
+    def test_a_wait_an_expired_sleep_and_a_traced_return_take_the_helpers(self):
+        kernel, cbs, server, log = TestChainCharges.cbs_kernel()
+        calls = self.helper_log(kernel)
+        kernel.add_tracer(self._TracesOne("traced"))
+        kernel.at(1 * MS, lambda now: kernel.fire_event("go"))
+
+        def untraced():
+            yield Compute(100 * US)
+            yield Syscall(SyscallNr.FUTEX, block=WaitEvent("go"))
+            yield Compute(100 * US)
+            yield Syscall(SyscallNr.CLOCK_NANOSLEEP, block=SleepUntil(1 * MS))
+            yield Compute(100 * US)
+
+        def traced():
+            yield Syscall(SyscallNr.NANOSLEEP, block=SleepFor(2 * MS))
+            yield Compute(100 * US)
+
+        for name, body in (("untraced", untraced()), ("traced", traced())):
+            cbs.attach(kernel.spawn(name, body), server)
+        kernel.run(5 * MS)
+        assert all(p.state is ProcState.EXITED for p in kernel.processes.values())
+        assert [c for c in calls if c[1] == "untraced"] == [
+            ("complete", "untraced", "syscall", "WaitEvent"),
+            ("block", "untraced", "WaitEvent"),
+            ("complete", "untraced", "syscall", "SleepUntil"),
+            ("block", "untraced", "SleepUntil"),
+        ]
+        # the sleep's entry blocked inline; its return takes the exit hook
+        assert [c for c in calls if c[1] == "traced"] == [
+            ("complete", "traced", "syscall_return", "NoneType")
+        ]

@@ -25,7 +25,8 @@ kernel directly, and traced-set changes from a body, a probe and a
 timer) under every uniprocessor scheduler and three ways of running: one
 ``run``, chunked runs, and chunks with ``stop_before_switch``.  The
 deterministic tests below it pin one chain end each: without that end
-the chain would run past where the reference re-decides.
+the chain would run past where the reference re-decides.  One pins a
+calendar cancel, which is no chain end.
 """
 
 from __future__ import annotations
@@ -562,8 +563,10 @@ class TestChainEnds:
         assert_chain_end(lambda: RoundRobinScheduler(timeslice=4 * MS), build)
 
     def test_calendar_cancel(self):
-        # cancelling the event the chain would stop at: the reference,
-        # peeking again, charges the segment in one piece
+        # cancelling the event the chain would stop at is no chain end:
+        # the chain cuts the segment at the stale limit and charges it in
+        # two pieces that compose, where the reference, peeking again,
+        # charges it in one; the runs must still be equal
         def build(kernel, seen):
             soon = kernel.at(1_050 * US, lambda now: None)
 

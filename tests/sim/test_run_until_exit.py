@@ -12,7 +12,7 @@ a few adversarial shapes.
 import pytest
 
 from repro.sched import RoundRobinScheduler
-from repro.sim import Kernel, SEC
+from repro.sim import Kernel, KernelConfig, SEC
 from repro.sim.instructions import Compute, SleepFor, Syscall
 from repro.sim.syscalls import SyscallNr
 from repro.sim.time import MS
@@ -86,6 +86,18 @@ class TestSteppingEdgeCases:
         end = kernel.run_until_exit([proc], hard_limit=10 * SEC)
         assert end == proc.exit_time
         assert kernel.clock == clock_before
+
+    def test_exit_at_time_zero_counts_as_an_exit(self):
+        # an exit time of 0 must not read as "never exited" (the clock)
+        def instant():
+            yield from ()
+
+        kernel = Kernel(RoundRobinScheduler(), KernelConfig(context_switch_cost=0))
+        proc = kernel.spawn("instant", instant())
+        kernel.run(10 * MS)
+        assert proc.exit_time == 0
+        assert kernel.run_until_exit([proc], hard_limit=20 * MS) == 0
+        assert kernel.clock == 10 * MS
 
     def test_unwatched_procs_keep_running(self):
         # the watch set must only gate the *return*, not starve others
