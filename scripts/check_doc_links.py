@@ -32,6 +32,8 @@ DOCS = REPO / "docs"
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 # ```fenced blocks``` must not contribute links (code samples aren't refs)
 _FENCE = re.compile(r"^(```|~~~)")
+# nor may `code spans`: `table[key](args)` is code, not a link
+_CODE_SPAN = re.compile(r"(`+).+?\1")
 
 
 def markdown_files() -> list[Path]:
@@ -40,7 +42,8 @@ def markdown_files() -> list[Path]:
 
 
 def links_in(path: Path) -> list[str]:
-    """Relative link targets in ``path``, skipping fenced code blocks."""
+    """Relative link targets in ``path``, skipping fenced code blocks
+    and code spans."""
     targets: list[str] = []
     in_fence = False
     for line in path.read_text(encoding="utf-8").splitlines():
@@ -49,7 +52,7 @@ def links_in(path: Path) -> list[str]:
             continue
         if in_fence:
             continue
-        for match in _LINK.finditer(line):
+        for match in _LINK.finditer(_CODE_SPAN.sub("", line)):
             target = match.group(1)
             if target.startswith(("http://", "https://", "mailto:")):
                 continue

@@ -585,16 +585,15 @@ def _trace(args) -> int:
 
 def _faults(args) -> int:
     """Run a fault scenario; print the guard report, optionally export."""
-    from repro.faults.scenarios import FAULT_SCENARIOS, run_fault_scenario
+    from repro.faults.scenarios import FAULT_SCENARIOS
 
-    if args.scenario not in FAULT_SCENARIOS:
+    scenario = FAULT_SCENARIOS.get(args.scenario)
+    if scenario is None:
         raise SystemExit(
             f"unknown fault scenario {args.scenario!r}; "
             f"known: {', '.join(sorted(FAULT_SCENARIOS))}"
         )
-    run = run_fault_scenario(
-        args.scenario, _parse_overrides(args.overrides, FAULT_SCENARIOS[args.scenario])
-    )
+    run = scenario(**_parse_overrides(args.overrides, scenario))
     print(run.report_text())
     if args.output:
         from repro.obs.export import write_chrome_trace

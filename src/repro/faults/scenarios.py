@@ -357,14 +357,3 @@ FAULT_SCENARIOS: dict[str, Callable[..., FaultRun]] = {
     "mode-switch": fault_mode_switch,
     "saturation": fault_saturation,
 }
-
-
-def run_fault_scenario(name: str, overrides: dict | None = None) -> FaultRun:
-    """Build and run fault scenario ``name`` with ``overrides``."""
-    try:
-        fn = FAULT_SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown fault scenario {name!r}; known: {sorted(FAULT_SCENARIOS)}"
-        ) from None
-    return fn(**(overrides or {}))

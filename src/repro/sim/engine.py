@@ -7,10 +7,10 @@ run never depends on heap internals or hash ordering.
 The heap stores plain ``(time, seq, entry)`` tuples: comparisons resolve on
 the ``(time, seq)`` prefix at C speed (``seq`` is unique, so the entry
 object itself is never compared).  Cancellation stays O(1) and lazy — a
-cancelled entry becomes a tombstone that is dropped when it surfaces — but
-the queue now keeps live/tombstone counters, so ``len()`` is O(1) and the
-heap is compacted whenever tombstones outnumber live entries (bounding the
-memory a cancel-heavy workload, e.g. a timer wheel under churn, can pin).
+cancelled entry becomes a tombstone that is dropped when it surfaces — and
+the queue counts its tombstones, so the heap is compacted whenever they
+outnumber live entries (bounding the memory a cancel-heavy workload, e.g.
+a timer wheel under churn, can pin).
 """
 
 from __future__ import annotations
@@ -67,23 +67,19 @@ class EventQueue:
     """Deterministic min-heap of :class:`ScheduledEvent`.
 
     Cancellation is lazy (tombstones are skipped when popped, keeping
-    :meth:`ScheduledEvent.cancel` O(1)), ``len()`` reads a live counter,
-    and the heap compacts itself when more than half of it is tombstones.
+    :meth:`ScheduledEvent.cancel` O(1)), and the heap compacts itself when
+    more than half of it is tombstones.
     """
 
     #: below this heap size compaction is never worth the heapify
     _COMPACT_MIN = 64
 
-    __slots__ = ("_heap", "_seq", "_live", "_dead")
+    __slots__ = ("_heap", "_seq", "_dead")
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, ScheduledEvent]] = []
         self._seq = 0
-        self._live = 0
         self._dead = 0
-
-    def __len__(self) -> int:
-        return self._live
 
     def push(
         self, time: int, callback: Callable[[int, Any], None], payload: Any = None
@@ -96,12 +92,10 @@ class EventQueue:
         ev = ScheduledEvent(time, seq, callback, payload)
         ev._queue = self
         heapq.heappush(self._heap, (time, seq, ev))
-        self._live += 1
         return ev
 
     def _on_cancel(self) -> None:
-        """A live in-heap entry was just cancelled: retag and maybe compact."""
-        self._live -= 1
+        """A live in-heap entry was just cancelled: count it and maybe compact."""
         self._dead += 1
         heap = self._heap
         if self._dead >= self._COMPACT_MIN and self._dead * 2 > len(heap):
@@ -119,19 +113,6 @@ class EventQueue:
                 self._dead -= 1
             else:
                 return entry[0]
-        return None
-
-    def pop(self) -> ScheduledEvent | None:
-        """Remove and return the earliest pending event, or ``None``."""
-        heap = self._heap
-        while heap:
-            ev = heapq.heappop(heap)[2]
-            if ev.cancelled:
-                self._dead -= 1
-            else:
-                ev._queue = None
-                self._live -= 1
-                return ev
         return None
 
     def snapshot(self) -> list[ScheduledEvent]:
@@ -173,6 +154,5 @@ class EventQueue:
                 return None
             heapq.heappop(heap)
             ev._queue = None
-            self._live -= 1
             return ev
         return None

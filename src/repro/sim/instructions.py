@@ -95,7 +95,11 @@ class WaitEvent(BlockSpec):
 
 
 class Instruction:
-    """Base class of everything a program may yield."""
+    """Base class of everything a program may yield.
+
+    Instructions compare and hash by identity; only the block specs
+    compare by value.
+    """
 
     __slots__ = ()
 
@@ -117,12 +121,6 @@ class Compute(Instruction):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Compute(duration={self.duration})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Compute and other.duration == self.duration
-
-    def __hash__(self) -> int:
-        return hash((Compute, self.duration))
 
 
 class Syscall(Instruction):
@@ -166,18 +164,6 @@ class Syscall(Instruction):
             f"return_cost={self.return_cost})"
         )
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            type(other) is Syscall
-            and other.nr == self.nr
-            and other.cost == self.cost
-            and other.block == self.block
-            and other.return_cost == self.return_cost
-        )
-
-    def __hash__(self) -> int:
-        return hash((Syscall, self.nr, self.cost, self.block, self.return_cost))
-
 
 class Fire(Instruction):
     """Wake any processes blocked on ``WaitEvent(key)``; costs no time.
@@ -193,12 +179,6 @@ class Fire(Instruction):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Fire(key={self.key!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Fire and other.key == self.key
-
-    def __hash__(self) -> int:
-        return hash((Fire, self.key))
 
 
 class Label(Instruction):
@@ -217,6 +197,3 @@ class Label(Instruction):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Label(name={self.name!r}, payload={self.payload!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is Label and other.name == self.name and other.payload == self.payload

@@ -21,7 +21,10 @@ state.  A chained segment costs one generator resume and one refill of
 the process's own segment, and a sleep that wakes later blocks without
 leaving the chain's loop.  Every other per-segment effect (clock, the
 value sent into the program, tracer calls) is the same as with a re-pick
-after every segment; see :meth:`Kernel.run`.
+after every segment; see :meth:`Kernel.run`.  Whatever the loop does not
+do inline (a first fetch, ``Fire``, ``Label``, a ``WaitEvent``, an
+expired sleep, a traced call, program exit) takes one out-of-line path,
+:meth:`Kernel._advance`.
 
 System calls are traced through pluggable hooks (see
 :mod:`repro.tracer.qtrace`); each hook may add kernel CPU overhead to the
@@ -33,10 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Protocol, cast
 
 from repro.sim.engine import EventQueue, ScheduledEvent
 from repro.sim.instructions import (
+    BlockSpec,
     Compute,
     Fire,
     Instruction,
@@ -103,11 +107,9 @@ class KernelConfig:
     """Tunables of the machine model."""
 
     #: CPU cost of a context switch, ns (2008-era x86: a few microseconds).
+    #: A switch burns wall time only: it is charged to no process, budget
+    #: or scheduler.
     context_switch_cost: int = 2_000
-    #: If True, the switch cost is charged to the incoming process's
-    #: scheduler accounting (and CBS budget); otherwise it only burns wall
-    #: time.
-    charge_switch_to_budget: bool = False
 
 
 @dataclass
@@ -163,22 +165,14 @@ class Kernel:
         #: disabled fast path.  The hook may post calendar events but
         #: must not touch kernel or scheduler state.
         self.latency_hook: Callable[[Process, int, int], None] | None = None
-        #: exact-class instruction dispatch (hot path of ``_fetch_next``);
-        #: an object of any other class is a ``TypeError``
-        self._instr_dispatch: dict[type, Callable[[Process, Instruction, int], None]] = {
-            Compute: self._do_compute,
-            Syscall: self._do_syscall,
-            Fire: self._do_fire,
-            Label: self._do_label,
-        }
         #: pids ``run_until_exit`` is waiting on (None outside of it)
         self._exit_watch: set[int] | None = None
         #: set by ``_exit`` when the watch set drains; makes ``run`` stop
         self._stop_run = False
         #: raised on every kernel path into scheduler state (admission,
-        #: wake-up, block, exit, Label probes, a switch cost charged to
-        #: the budget) and on every traced-set change; ends ``run``'s
-        #: current chain so the next segment starts with a fresh pick
+        #: wake-up, block, exit, Label probes) and on every traced-set
+        #: change; ends ``run``'s current chain so the next segment starts
+        #: with a fresh pick
         self._resched = False
         #: the process ``run``'s current chain runs (None outside a
         #: chain) and the clock its CPU is charged up to; see ``_settle``
@@ -259,12 +253,11 @@ class Kernel:
         ``Label(name)``."""
         self._label_probes.setdefault(name, []).append(probe)
 
-    def fire_event(self, key: str, now: int | None = None) -> int:
+    def fire_event(self, key: str) -> int:
         """Wake every process blocked on ``WaitEvent(key)``; return count."""
-        now = self.clock if now is None else now
         waiters = self._waiters.pop(key, [])
         for proc in waiters:
-            self._wake(proc, now)
+            self._wake(proc, self.clock)
         return len(waiters)
 
     def at(self, when: int, callback: Callable[[int], None]) -> ScheduledEvent:
@@ -307,32 +300,31 @@ class Kernel:
         self._resched = True
         self.scheduler.on_ready(proc, now)
 
-    def _block(self, proc: Process, spec: SleepUntil | SleepFor, now: int) -> bool:
-        """Suspend ``proc`` per ``spec``.  Returns False if the block is a
-        no-op (sleep deadline already passed)."""
-        self._settle()
-        if isinstance(spec, SleepUntil):
-            if spec.wake_at <= now:
-                return False
+    def _block(self, proc: Process, spec: BlockSpec, now: int) -> bool:
+        """Suspend ``proc`` per ``spec``.  A ``SleepUntil`` or ``SleepFor``
+        gives a wake time; a ``WaitEvent`` gives none and waits for
+        :meth:`fire_event`.  Returns False, and does nothing, for a wake
+        time at or before ``now``."""
+        wake_at: int | None = None
+        if type(spec) is SleepUntil:
             wake_at = spec.wake_at
-        elif isinstance(spec, SleepFor):
-            if spec.duration <= 0:
-                return False
+        elif type(spec) is SleepFor:
             wake_at = now + spec.duration
-        elif isinstance(spec, WaitEvent):
-            proc.state = ProcState.BLOCKED
-            self._unassign(proc)
-            self._resched = True
-            self.scheduler.on_block(proc, now)
-            self._waiters.setdefault(spec.key, []).append(proc)
-            return True
-        else:  # pragma: no cover - defensive
+        elif type(spec) is not WaitEvent:  # pragma: no cover - defensive
             raise TypeError(f"unknown block spec {spec!r}")
+        # an expired sleep settles too: the scheduler sees the same
+        # charge calls whether or not the call blocks
+        self._settle()
+        if wake_at is not None and wake_at <= now:
+            return False
         proc.state = ProcState.BLOCKED
         self._unassign(proc)
         self._resched = True
         self.scheduler.on_block(proc, now)
-        self.events.push(wake_at, self._wake_event, proc)
+        if wake_at is None:
+            self._waiters.setdefault(cast(WaitEvent, spec).key, []).append(proc)
+        else:
+            self.events.push(wake_at, self._wake_event, proc)
         return True
 
     def _wake_event(self, now: int, proc: Process) -> None:
@@ -342,65 +334,88 @@ class Kernel:
     # ------------------------------------------------------------------
     # program advancement
     # ------------------------------------------------------------------
-    def _do_compute(self, proc: Process, instr: Compute, now: int) -> None:
-        if instr.duration > 0:
-            proc.segment = proc.own_segment.refill(SegmentKind.USER, instr.duration)
+    def _advance(self, proc: Process, instr: Instruction | None = None) -> None:
+        """The out-of-line path: complete ``proc``'s segment that just
+        ended, if there is one, then pull instructions until one gives CPU
+        work, or the process blocks or exits.  ``instr`` is one the caller
+        already pulled and has not executed yet.
 
-    def _do_syscall(self, proc: Process, instr: Syscall, now: int) -> None:
-        cost = instr.cost
-        tracers = self.tracers
-        if tracers:
-            nr = instr.nr
-            for tracer in tracers:
-                # skip the (potentially costly) hook for tracers that are
-                # not attached to this process at all; attached tracers
-                # self-filter identically, so behaviour is unchanged
-                if tracer.traces(proc):
-                    cost += tracer.on_syscall_entry(proc, nr, now)
-        proc.segment = proc.own_segment.refill(
-            SegmentKind.SYSCALL, cost if cost > 1 else 1, instr, instr.block, now
-        )
-
-    def _do_fire(self, proc: Process, instr: Fire, now: int) -> None:
-        self.fire_event(instr.key)
-
-    def _do_label(self, proc: Process, instr: Label, now: int) -> None:
-        probes = self._label_probes.get(instr.name)
-        if probes:
-            # a probe may reach scheduler state (``set_params``, ``attach``)
-            self._settle()
-            self._resched = True
-            for probe in probes:
-                probe(proc, now, instr.payload)
-
-    def _fetch_next(self, proc: Process, instr: Instruction | None = None) -> None:
-        """Pull instructions from the program until one produces a CPU
-        segment (zero-time instructions are executed inline).  ``instr``
-        is one the caller already pulled and has not executed yet."""
-        # the clock cannot advance while fetching: zero-time instructions
-        # (Fire, Label) only mutate scheduler/waiter state
+        A blocking call's entry becomes its ``SYSCALL_RETURN``.  A
+        non-blocking call, an expired sleep or a return counts the
+        syscall and runs the tracers' exit hooks; their extra cost becomes
+        a ``USER`` segment, burnt before the next instruction is fetched.
+        """
+        # the clock cannot advance in here: zero-time instructions (Fire,
+        # Label) only change scheduler or waiter state
         clock = self.clock
-        dispatch = self._instr_dispatch
+        tracers = self.tracers
+        seg = proc.segment
+        if seg is not None:
+            proc.segment = None
+            if seg.kind is not SegmentKind.USER:
+                call = seg.syscall
+                assert call is not None
+                if seg.block is not None and self._block(proc, seg.block, clock):
+                    # the finished entry becomes its return path (same
+                    # call and entry stamp), run after the wake-up
+                    ret = call.return_cost
+                    seg.kind = SegmentKind.SYSCALL_RETURN
+                    seg.remaining = ret if ret > 1 else 1
+                    seg.block = None
+                    proc.segment = seg
+                    return
+                proc.syscall_count += 1
+                self.stats.syscalls += 1
+                extra = 0
+                for tracer in tracers:
+                    if tracer.traces(proc):
+                        extra += tracer.on_syscall_exit(proc, call.nr, clock)
+                if extra > 0:
+                    proc.segment = seg.refill(SegmentKind.USER, extra)
+                    return
         program = proc.program
-        send = program.send
         exited = ProcState.EXITED
         # proc.state check instead of the ``alive`` property: this loop
         # runs once per yielded instruction
-        while proc.state is not exited and proc.segment is None:
+        while proc.state is not exited:
             if instr is None:
                 try:
                     if proc.started:
-                        instr = send(clock)
+                        instr = program.send(clock)
                     else:
                         instr = next(program)
                         proc.started = True
                 except Exception as exc:  # noqa: BLE001 - crash containment
                     self._program_ended(proc, exc, clock)
                     return
-            handler = dispatch.get(instr.__class__)
-            if handler is None:
+            if type(instr) is Compute:
+                if instr.duration > 0:
+                    proc.segment = proc.own_segment.refill(SegmentKind.USER, instr.duration)
+                    return
+            elif type(instr) is Syscall:
+                cost = instr.cost
+                for tracer in tracers:
+                    # skip the (potentially costly) hook for tracers that
+                    # are not attached to this process at all; attached
+                    # tracers self-filter identically
+                    if tracer.traces(proc):
+                        cost += tracer.on_syscall_entry(proc, instr.nr, clock)
+                proc.segment = proc.own_segment.refill(
+                    SegmentKind.SYSCALL, cost if cost > 1 else 1, instr, instr.block, clock
+                )
+                return
+            elif type(instr) is Fire:
+                self.fire_event(instr.key)
+            elif type(instr) is Label:
+                probes = self._label_probes.get(instr.name)
+                if probes:
+                    # a probe may reach scheduler state (``set_params``, ``attach``)
+                    self._settle()
+                    self._resched = True
+                    for probe in probes:
+                        probe(proc, clock, instr.payload)
+            else:
                 raise TypeError(f"program of {proc.name} yielded {instr!r}")
-            handler(proc, instr, clock)
             instr = None
 
     def _program_ended(self, proc: Process, exc: Exception, now: int) -> None:
@@ -412,52 +427,6 @@ class Kernel:
         if not isinstance(exc, StopIteration):
             proc.crash = exc
         self._exit(proc, now)
-
-    def _complete_segment(self, proc: Process) -> None:
-        seg = proc.segment
-        assert seg is not None and seg.remaining == 0
-        proc.segment = None
-        kind = seg.kind
-        if kind is SegmentKind.USER:
-            self._fetch_next(proc)
-            return
-        now = self.clock
-        call = seg.syscall
-        assert call is not None
-        if kind is SegmentKind.SYSCALL:
-            if seg.block is not None and self._block(proc, seg.block, now):
-                # blocking call: the finished segment becomes its return
-                # path (same call and entry stamp), run after the wake-up
-                ret = call.return_cost
-                seg.kind = SegmentKind.SYSCALL_RETURN
-                seg.remaining = ret if ret > 1 else 1
-                seg.block = None
-                proc.segment = seg
-                return
-            # non-blocking (or already-expired sleep): exit now
-            self._finish_syscall(proc, call, now)
-            return
-        if kind is SegmentKind.SYSCALL_RETURN:
-            self._finish_syscall(proc, call, now)
-            return
-        raise AssertionError(f"unexpected segment kind {kind}")  # pragma: no cover
-
-    def _finish_syscall(self, proc: Process, call: Syscall, now: int) -> None:
-        proc.syscall_count += 1
-        self.stats.syscalls += 1
-        extra = 0
-        tracers = self.tracers
-        if tracers:
-            nr = call.nr
-            for tracer in tracers:
-                if tracer.traces(proc):
-                    extra += tracer.on_syscall_exit(proc, nr, now)
-        if extra > 0:
-            # tracing cost on the exit path: burn it before the next
-            # instruction is fetched
-            proc.segment = proc.own_segment.refill(SegmentKind.USER, extra)
-            return
-        self._fetch_next(proc)
 
     # ------------------------------------------------------------------
     # main loop
@@ -524,8 +493,7 @@ class Kernel:
         - the bound, the next calendar event or ``until`` is reached;
         - ``_resched`` is raised: admission, wake-up (which covers
           ``Fire`` and direct :meth:`fire_event` calls), block, exit, a
-          Label probe about to run, a switch cost charged to the budget
-          after the pick, or a traced-set change;
+          Label probe about to run, or a traced-set change;
         - the calendar gained an event since the peek (its push counter
           moved): a push may fall before the cached time;
         - or the pick came with no bound (``None``: FP, EDF, a lone
@@ -542,8 +510,8 @@ class Kernel:
         once per chain (a chain never changes process), and one refill of
         the finished segment, the process's own, in place.
         ``proc.segment`` keeps pointing at that segment while the program
-        runs; it is None only once an instruction goes to ``_fetch_next``
-        or the program ends.  Each pick asks every tracer's ``traces``
+        runs; it is None only once an instruction goes to ``_advance`` or
+        the program ends.  Each pick asks every tracer's ``traces``
         once; a traced-set change raises ``_resched`` (see
         :class:`TracerHook`), and no syscall or return goes inline while
         it is up.  A sleep's entry, a finished ``SYSCALL`` segment whose
@@ -551,11 +519,11 @@ class Kernel:
         traced or not (an entry calls no tracer hook), in ``_block``'s
         order: settle, ``BLOCKED``, ``_current`` cleared, ``_resched``
         raised, ``on_block``, the wake-up pushed, and the segment turned
-        into its ``SYSCALL_RETURN``.  Everything else (a ``WaitEvent`` or
-        an expired sleep, traced processes' syscalls and returns,
-        ``Fire``, ``Label``, program exit) goes through
-        ``_complete_segment`` and ``_fetch_next``, the helpers the
-        multicore kernel also uses.
+        into its ``SYSCALL_RETURN``.  Everything else (a first fetch, a
+        ``WaitEvent`` or an expired sleep, traced processes' syscalls and
+        returns, ``Fire``, ``Label``, program exit) goes through
+        :meth:`_advance`, the one out-of-line path, which the multicore
+        kernel also uses.  A context switch burns wall time only.
 
         This is the hottest loop of the simulator; scheduler/calendar
         methods and config fields are cached in locals, and the due-event
@@ -577,11 +545,9 @@ class Kernel:
         obs = self._obs
         tracers = self.tracers
         cs_cost = self.config.context_switch_cost
-        charge_switch = self.config.charge_switch_to_budget
         running = ProcState.RUNNING
         ready = ProcState.READY
         blocked = ProcState.BLOCKED
-        exited = ProcState.EXITED
         user = SegmentKind.USER
         in_kernel = SegmentKind.SYSCALL
         in_return = SegmentKind.SYSCALL_RETURN
@@ -621,11 +587,6 @@ class Kernel:
                     if clock > until:
                         clock = until
                     self.clock = clock
-                    if charge_switch:
-                        charge(proc, cs_cost, clock)
-                        # charged after the pick, it may already have
-                        # moved it (an intra-server rotation): no chain
-                        self._resched = True
                 self._current = proc
                 if self.switch_hook is not None:
                     self.switch_hook(proc, clock)
@@ -643,13 +604,11 @@ class Kernel:
                     latency_hook(proc, latency, clock)
             segment = proc.segment
             if segment is None:
-                self._fetch_next(proc)
+                self._advance(proc)
                 segment = proc.segment
                 if segment is None:
-                    # process exited or yielded only zero-time instructions
-                    # that changed state (e.g. woke someone); re-decide.
-                    if self._current is proc and proc.state is exited:
-                        self._current = None
+                    # the process exited (``_exit`` cleared ``_current``);
+                    # re-decide
                     continue
             quantum = segment.remaining
             bound = time_until(proc, clock)
@@ -709,12 +668,12 @@ class Kernel:
                         segment.block is None
                         and (not tracers or (untraced and not self._resched))
                     ):
-                        # inline ``_complete_segment``/``_finish_syscall``/
-                        # ``_fetch_next`` for the common case: a Compute, a
-                        # non-blocking syscall or a blocking call's return
-                        # completes, and the next Compute or Syscall refills
-                        # the finished segment (the process's own) in place;
-                        # ``proc.segment`` keeps pointing at it meanwhile
+                        # inline ``_advance`` for the common case: a
+                        # Compute, a non-blocking syscall or a blocking
+                        # call's return completes, and the next Compute or
+                        # Syscall refills the finished segment (the
+                        # process's own) in place; ``proc.segment`` keeps
+                        # pointing at it meanwhile
                         if kind is not user:
                             proc.syscall_count += 1
                             stats.syscalls += 1
@@ -747,7 +706,7 @@ class Kernel:
                                 break
                             else:
                                 proc.segment = None
-                                self._fetch_next(proc, instr)
+                                self._advance(proc, instr)
                                 segment = proc.segment
                                 break
                     else:
@@ -758,8 +717,8 @@ class Kernel:
                         elif type(block) is SleepFor:
                             wake_at += block.duration
                         if wake_at > clock:
-                            # inline ``_complete_segment``/``_block`` for a
-                            # sleep's entry, traced or not (an entry calls no
+                            # inline ``_advance``/``_block`` for a sleep's
+                            # entry, traced or not (an entry calls no
                             # tracer hook), in ``_block``'s order; the
                             # finished segment becomes its return path
                             self._settle()
@@ -775,7 +734,7 @@ class Kernel:
                             segment.remaining = ret if ret > 1 else 1
                             segment.block = None
                             break
-                        self._complete_segment(proc)
+                        self._advance(proc)
                         segment = proc.segment
                     if segment is None or clock >= limit or self._resched or events._seq != pushes:
                         break
@@ -813,4 +772,7 @@ class Kernel:
                 self._exit_watch = None
                 self._stop_run = False
         # an exit at time 0 is an exit: test for None, not for falsiness
-        return max(self.clock if p.exit_time is None else p.exit_time for p in procs)
+        return max(
+            (self.clock if p.exit_time is None else p.exit_time for p in procs),
+            default=self.clock,
+        )

@@ -122,7 +122,7 @@ class MultiCoreKernel(Kernel):
                 if proc is None:
                     continue
                 if proc.segment is None:
-                    self._fetch_next(proc)
+                    self._advance(proc)
                     if proc.segment is None:
                         # exited or changed state through zero-time
                         # instructions: re-decide the whole assignment
@@ -158,4 +158,4 @@ class MultiCoreKernel(Kernel):
                 scheduler.charge(proc, quantum, self.clock)
             for proc in active:
                 if proc.segment is not None and proc.segment.remaining == 0:
-                    self._complete_segment(proc)
+                    self._advance(proc)

@@ -191,8 +191,9 @@ class Process:
         self.state = ProcState.NEW
         #: the work in progress: :attr:`own_segment` while the process
         #: has CPU work pending, None when an instruction must be fetched
-        #: out of line (``Kernel.run``'s inline fetch keeps the finished
-        #: segment here until the next instruction refills it)
+        #: through ``Kernel._advance``, the out-of-line path
+        #: (``Kernel.run``'s inline fetch keeps the finished segment here
+        #: until the next instruction refills it)
         self.segment: Segment | None = None
         #: the one segment the kernel refills for this process
         self.own_segment = Segment(SegmentKind.USER, 0)

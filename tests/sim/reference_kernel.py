@@ -3,10 +3,10 @@
 :class:`ReferenceKernel` is a :class:`repro.sim.kernel.Kernel` whose
 ``run`` is the loop that dispatches due events, picks, peeks and asks the
 scheduler for its bound again after every single segment.  It shares
-every helper (``_fetch_next``, ``_complete_segment``, ``_block``,
-``_wake``, ...) with the production kernel, so comparing the two isolates
-the one thing that differs: how often ``run`` goes back to the scheduler
-and the calendar.  The method below is kept verbatim; do not optimise it.
+every helper (``_advance``, ``_block``, ``_wake``, ...) with the
+production kernel, so comparing the two isolates the one thing that
+differs: how often ``run`` goes back to the scheduler and the calendar.
+The method below keeps that loop; do not optimise it.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ class ReferenceKernel(Kernel):
         stats = self.stats
         obs = self._obs
         cs_cost = self.config.context_switch_cost
-        charge_switch = self.config.charge_switch_to_budget
         running = ProcState.RUNNING
         ready = ProcState.READY
         exited = ProcState.EXITED
@@ -85,8 +84,6 @@ class ReferenceKernel(Kernel):
                     if clock > until:
                         clock = until
                     self.clock = clock
-                    if charge_switch:
-                        charge(proc, cs_cost, clock)
                 self._current = proc
                 if self.switch_hook is not None:
                     self.switch_hook(proc, clock)
@@ -104,7 +101,7 @@ class ReferenceKernel(Kernel):
                     latency_hook(proc, latency, clock)
             segment = proc.segment
             if segment is None:
-                self._fetch_next(proc)
+                self._advance(proc)
                 segment = proc.segment
                 if segment is None:
                     # process exited or yielded only zero-time instructions
@@ -138,4 +135,4 @@ class ReferenceKernel(Kernel):
             segment.remaining -= quantum
             charge(proc, quantum, clock)
             if proc.segment is not None and proc.segment.remaining == 0:
-                self._complete_segment(proc)
+                self._advance(proc)

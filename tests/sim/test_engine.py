@@ -6,14 +6,23 @@ from hypothesis import strategies as st
 
 from repro.sim.engine import EventQueue
 
+#: a ``now`` past every event a test pushes: ``pop_due(FOREVER)`` pops the
+#: earliest pending event, whatever its time
+FOREVER = 2**62
+
 
 def collect(queue):
     out = []
     while True:
-        ev = queue.pop()
+        ev = queue.pop_due(FOREVER)
         if ev is None:
             return out
         out.append(ev)
+
+
+def pending(queue):
+    """Number of live (uncancelled) events still queued."""
+    return len(queue.snapshot())
 
 
 class TestOrdering:
@@ -47,15 +56,15 @@ class TestCancel:
         keep = q.push(10, lambda now, p: None, payload="keep")
         drop = q.push(5, lambda now, p: None, payload="drop")
         drop.cancel()
-        assert q.pop() is keep
+        assert q.pop_due(FOREVER) is keep
 
     def test_len_ignores_cancelled(self):
         q = EventQueue()
         ev = q.push(1, lambda now, p: None)
         q.push(2, lambda now, p: None)
-        assert len(q) == 2
+        assert pending(q) == 2
         ev.cancel()
-        assert len(q) == 1
+        assert pending(q) == 1
 
     def test_peek_skips_cancelled(self):
         q = EventQueue()
@@ -75,10 +84,10 @@ class TestPopDue:
 
     def test_empty_queue(self):
         q = EventQueue()
-        assert q.pop() is None
+        assert q.pop_due(FOREVER) is None
         assert q.peek_time() is None
         assert q.pop_due(100) is None
-        assert len(q) == 0
+        assert pending(q) == 0
 
 
 class TestValidation:
@@ -89,17 +98,19 @@ class TestValidation:
 
 
 class TestTombstones:
-    """Lazy cancellation must not leak: len is O(1) and the heap compacts."""
+    """Lazy cancellation must not leak: tombstones are counted once and
+    the heap compacts."""
 
     def test_len_is_live_counter_not_scan(self):
         q = EventQueue()
         handles = [q.push(t, lambda now, p: None) for t in range(100)]
         for h in handles[::2]:
             h.cancel()
-        assert len(q) == 50
-        # cancelling twice is idempotent and does not double-decrement
+        assert pending(q) == 50
+        # cancelling twice is idempotent and does not double-count
         handles[0].cancel()
-        assert len(q) == 50
+        assert pending(q) == 50
+        assert q._dead == 50
 
     def test_heap_compacts_under_heavy_cancellation(self):
         q = EventQueue()
@@ -107,7 +118,7 @@ class TestTombstones:
         for h in handles[:900]:
             h.cancel()
         # >50% of entries were tombstones; compaction must have dropped them
-        assert len(q) == 100
+        assert pending(q) == 100
         assert len(q._heap) < 500
         # and the surviving events still pop in time order
         assert [ev.time for ev in collect(q)] == list(range(900, 1000))
@@ -124,10 +135,11 @@ class TestTombstones:
     def test_cancel_after_pop_is_noop(self):
         q = EventQueue()
         ev = q.push(3, lambda now, p: None)
-        assert q.pop() is ev
-        ev.cancel()  # already delivered: must not corrupt the counters
-        assert len(q) == 0
-        assert q.pop() is None
+        assert q.pop_due(FOREVER) is ev
+        ev.cancel()  # already delivered: must not corrupt the tombstone count
+        assert pending(q) == 0
+        assert q._dead == 0
+        assert q.pop_due(FOREVER) is None
 
 
 class TestPeekPopDueSemantics:
@@ -138,7 +150,7 @@ class TestPeekPopDueSemantics:
         q.push(4, lambda now, p: None)
         assert q.peek_time() == 4
         assert q.peek_time() == 4
-        assert len(q) == 1
+        assert pending(q) == 1
 
     def test_pop_due_skips_cancelled_due_events(self):
         q = EventQueue()
@@ -168,9 +180,9 @@ class TestPeekPopDueSemantics:
         assert q.pop_due(10).time == 10
         assert q.pop_due(10) is None
         assert q.peek_time() == 20
-        assert len(q) == 1
+        assert pending(q) == 1
 
     def test_payload_rides_the_event(self):
         q = EventQueue()
         q.push(1, lambda now, p: None, payload={"k": 1})
-        assert q.pop().payload == {"k": 1}
+        assert q.pop_due(FOREVER).payload == {"k": 1}

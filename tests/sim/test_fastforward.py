@@ -82,8 +82,8 @@ class TestShiftTimes:
         q = EventQueue()
         fired = self._fill(q)
         q.shift_times(10)
-        while len(q):
-            ev = q.pop()
+        while len(q.snapshot()):
+            ev = q.pop_due(2**62)
             if ev is not None:
                 ev.callback(ev.time, ev.payload)
         assert fired == [(60, "b"), (110, "a")]
@@ -436,4 +436,55 @@ class TestVlcTwoThread:
         report = run_fast_forward(k_ff, until)
         assert report.enabled and report.detected
         assert report.cycles_skipped > 0
+        assert fin_ff() == fin_full()
+
+
+#: why a release just before every hyperperiod boundary defeats detection
+STRADDLED_BOUNDARIES = (
+    "run_fast_forward samples only at hyperperiod boundaries and skips one "
+    "that a context switch straddles; a release less than "
+    "context_switch_cost before every boundary straddles them all, so no "
+    "cycle is found and the whole horizon is stepped (ROADMAP: found while "
+    "measuring)"
+)
+
+
+class TestReleaseJustBeforeEveryBoundary:
+    """EDF, (1 ms every 8 ms, phase 8 ms - lead) and (2 ms every 16 ms,
+    phase 3 ms): the first task's second job of each 16 ms hyperperiod is
+    released ``lead`` ns before the boundary, and its switch (2 us) ends
+    past it unless ``lead`` is at least the switch cost.  Fleet node seed
+    4594 (a p8 phase of 3,998,812 ns) hits this under every policy."""
+
+    @pytest.mark.parametrize(
+        "lead",
+        [
+            pytest.param(1_000, marks=pytest.mark.xfail(strict=True, reason=STRADDLED_BOUNDARIES)),
+            pytest.param(1_999, marks=pytest.mark.xfail(strict=True, reason=STRADDLED_BOUNDARIES)),
+            2_000,
+        ],
+    )
+    def test_detects_and_matches(self, lead):
+        from repro.bench.golden import attach_digest
+        from repro.workloads import PeriodicTaskConfig, periodic_task
+
+        until = 2 * SEC
+
+        def build() -> Kernel:
+            edf = EdfScheduler()
+            kernel = Kernel(edf)
+            fast = PeriodicTaskConfig(cost=1 * MS, period=8 * MS, phase=8 * MS - lead)
+            slow = PeriodicTaskConfig(cost=2 * MS, period=16 * MS, phase=3 * MS)
+            edf.attach(kernel.spawn("p8", periodic_task(fast)), 8 * MS)
+            edf.attach(kernel.spawn("p16", periodic_task(slow)), 16 * MS)
+            return kernel
+
+        k_full = build()
+        fin_full = attach_digest(k_full)
+        k_full.run(until)
+
+        k_ff = build()
+        fin_ff = attach_digest(k_ff)
+        report = run_fast_forward(k_ff, until)
+        assert report.enabled and report.detected
         assert fin_ff() == fin_full()

@@ -576,7 +576,7 @@ class TestChainCharges:
 
 class TestInlineSleep:
     """A sleep that wakes later blocks inside ``Kernel.run``'s chain; a
-    ``WaitEvent``, an expired sleep and a traced return take the helpers."""
+    ``WaitEvent``, an expired sleep and a traced return take ``_advance``."""
 
     class _TracesOne(TestTracerHooks._CountingTracer):
         """Traces the process called ``name`` only."""
@@ -590,21 +590,23 @@ class TestInlineSleep:
 
     @staticmethod
     def helper_log(kernel):
-        """Log each ``_complete_segment`` call (process, segment kind, block
-        type) and each ``_block`` call (process, spec type)."""
+        """Log each ``_advance`` call that completes a segment (process,
+        segment kind, block type) and each ``_block`` call (process, spec
+        type); an ``_advance`` call that only fetches is not logged."""
         calls = []
-        complete, block = kernel._complete_segment, kernel._block
+        advance, block = kernel._advance, kernel._block
 
-        def logged_complete(proc):
+        def logged_advance(proc, instr=None):
             seg = proc.segment
-            calls.append(("complete", proc.name, seg.kind.value, type(seg.block).__name__))
-            complete(proc)
+            if seg is not None:
+                calls.append(("complete", proc.name, seg.kind.value, type(seg.block).__name__))
+            advance(proc, instr)
 
         def logged_block(proc, spec, now):
             calls.append(("block", proc.name, type(spec).__name__))
             return block(proc, spec, now)
 
-        kernel._complete_segment, kernel._block = logged_complete, logged_block
+        kernel._advance, kernel._block = logged_advance, logged_block
         return calls
 
     @pytest.mark.parametrize("traced", [False, True])
@@ -637,9 +639,9 @@ class TestInlineSleep:
         assert blocks == [110 * US, 1_220_500, 3_100_500]
         # each return runs the default 500 ns after its wake-up
         assert woke == [1_110_500, 3_000_500]
-        # no sleep's entry reached ``_complete_segment`` or ``_block``
+        # no sleep's entry reached ``_advance`` or ``_block``
         if traced:
-            # the returns still take the helper and the exit hook
+            # the returns still take ``_advance`` and the exit hook
             assert calls == [("complete", "p", "syscall_return", "NoneType")] * 2
             assert [e[2] for e in tracer.entries] == [100 * US, 1_210_500]
             assert [e[2] for e in tracer.exits] == woke

@@ -177,7 +177,6 @@ scenario = st.fixed_dictionaries(
             max_size=2,
         ),
         "cs_cost": st.sampled_from([0, 2_000, 50_000]),
-        "charge_switch": st.booleans(),
         "tracer": st.sampled_from([None, (0, 0), (3_000, 0), (2_000, 7_000)]),
         "slice_us": st.integers(min_value=50, max_value=4_000),
         "horizon_ms": st.integers(min_value=5, max_value=120),
@@ -232,10 +231,7 @@ def _record(kernel: Kernel) -> dict[str, list]:
 
 def _build(kernel_cls, sc: dict):
     sched = _scheduler(sc["sched"], sc["slice_us"])
-    config = KernelConfig(
-        context_switch_cost=sc["cs_cost"], charge_switch_to_budget=sc["charge_switch"]
-    )
-    kernel = kernel_cls(sched, config)
+    kernel = kernel_cls(sched, KernelConfig(context_switch_cost=sc["cs_cost"]))
     log = _record(kernel)
     log.update(tracer=[], probe=[])
     if sc["tracer"] is not None:
@@ -273,7 +269,7 @@ def _build(kernel_cls, sc: dict):
             period = max(server.params.period, budget)
             sched.set_params(server, ServerParams(budget, period, server.params.policy))
         else:
-            kernel.at(now + mag * 20 * US, lambda t: kernel.fire_event(KEYS[mag % 2], t))
+            kernel.at(now + mag * 20 * US, lambda t: kernel.fire_event(KEYS[mag % 2]))
         if mag % 2:
             retrace(mag)
 
@@ -522,28 +518,10 @@ class TestChainEnds:
 
         assert_chain_end(CbsScheduler, build)
 
-    def test_switch_cost_charged_after_the_pick(self):
-        # the budget-charged switch exhausts the fresh intra-server slice
-        # and rotates the server's run queue before the bound is asked
-        def run(kernel_cls):
-            cbs = CbsScheduler(intra_server_slice=25 * US)
-            config = KernelConfig(context_switch_cost=2 * US, charge_switch_to_budget=True)
-            kernel = kernel_cls(cbs, config)
-            server = cbs.create_server(ServerParams(1 * MS, 6 * MS), "shared")
-            switches: list = []
-            kernel.switch_hook = lambda proc, now: switches.append((proc.name, now))
-            seen: list = []
-            for name in ("a", "b"):
-                cbs.attach(kernel.spawn(name, _computes(3, 10 * US, seen)), server)
-            kernel.run(1 * MS)
-            return switches, seen
-
-        assert run(Kernel) == run(ReferenceKernel)
-        assert run(Kernel)[0][:2] == [("a", 2 * US), ("b", 14 * US)]
-
     def test_calendar_push(self):
         # the body posts an event earlier than the one the chain cached
-        # and cancels a later one, so the live count does not move
+        # and cancels a later one, so the number of pending events does
+        # not move
         def build(kernel, seen):
             fired = []
             far = kernel.at(4 * MS, lambda now: fired.append(("far", kernel.clock)))

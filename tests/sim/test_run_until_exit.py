@@ -99,6 +99,13 @@ class TestSteppingEdgeCases:
         assert kernel.run_until_exit([proc], hard_limit=20 * MS) == 0
         assert kernel.clock == 10 * MS
 
+    def test_no_procs_returns_the_clock(self):
+        # nothing to wait for: no run, and the clock, not a ValueError
+        kernel = Kernel(RoundRobinScheduler())
+        kernel.run(3 * MS)
+        assert kernel.run_until_exit([], SEC) == 3 * MS
+        assert kernel.clock == 3 * MS
+
     def test_unwatched_procs_keep_running(self):
         # the watch set must only gate the *return*, not starve others
         kernel = Kernel(RoundRobinScheduler())

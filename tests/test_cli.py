@@ -85,6 +85,22 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_faults_reports_the_guards_and_exports_a_valid_trace(self, tmp_path, capsys):
+        from repro.obs.schema import validate_chrome_trace
+
+        # at 150 frames the run reaches the fault window, which opens at 4 s
+        out_path = tmp_path / "faults.perfetto.json"
+        assert main(["faults", "trace-loss", "n_frames=150", "-o", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "fault scenario: trace-loss" in out
+        (injected,) = [line.split() for line in out.splitlines() if "injected[trace]" in line]
+        assert injected == ["injected[trace]", "639", "(drop=639)"]
+        validate_chrome_trace(json.loads(out_path.read_text()))
+
+    def test_faults_unknown_scenario(self):
+        with pytest.raises(SystemExit, match="unknown fault scenario 'nosuch'"):
+            main(["faults", "nosuch"])
+
     def test_second_run_served_from_cache(self, capsys):
         assert main(["run", "fig01", "t_step_ms=20.0"]) == 0
         first = capsys.readouterr().out

@@ -87,6 +87,13 @@ def test_markdown_links_resolve():
     assert checker.check_links() == []
 
 
+def test_code_spans_are_not_links_but_code_link_texts_are(tmp_path):
+    checker = _load_link_checker()
+    page = tmp_path / "page.md"
+    page.write_text("Call `TABLE[name](**kw)`; see [`run`](docs/x.md).\n", encoding="utf-8")
+    assert checker.links_in(page) == ["docs/x.md"]
+
+
 def test_docs_index_reaches_every_page():
     checker = _load_link_checker()
     assert checker.check_index_coverage() == []
