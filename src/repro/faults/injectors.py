@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from repro.faults.base import FaultInjector
 from repro.faults.plan import FaultPlan, combined_is_zero
-from repro.sim.instructions import Compute, SleepFor, SleepUntil, Syscall
+from repro.sim.instructions import Burst, Compute, Instruction, SleepFor, SleepUntil, Syscall
 from repro.sim.process import Program
 from repro.sim.time import MS
 from repro.tracer.events import RingBuffer, TraceEvent
@@ -217,7 +217,9 @@ class WorkloadFaults(FaultInjector):
     activation rate* — the rate change §1 motivates the whole paper with.
 
     The wrapper is transparent when idle: outside every window the
-    original instruction objects pass through untouched.
+    original instruction objects pass through untouched.  A ``Burst`` is
+    yielded as its items, one at a time, which is what it means, so
+    that each ``Compute`` is inflated by the window it starts in.
     """
 
     kind = "workload"
@@ -257,23 +259,24 @@ class WorkloadFaults(FaultInjector):
                 started = True
             except StopIteration:
                 return
-            now = reply if isinstance(reply, int) else 0
-            cls = instr.__class__
-            if cls is Compute:
-                i = self.overload.intensity_at(now)
-                if i > 0.0 and self.compute_factor > 0.0:
-                    inflated = int(instr.duration * (1.0 + i * self.compute_factor))
-                    if inflated != instr.duration:
-                        self._note("overload", now, extra_ns=inflated - instr.duration)
-                        instr = Compute(inflated)
-            elif cls is Syscall and instr.block is not None:
-                i = self.mode_switch.intensity_at(now)
-                if i > 0.0 and self.period_factor > 0.0:
-                    stretched = self._stretch(instr, now, 1.0 + i * self.period_factor)
-                    if stretched is not None:
-                        self._note("mode-switch", now)
-                        instr = stretched
-            reply = yield instr
+            items: tuple[Instruction, ...] = instr.items if type(instr) is Burst else (instr,)
+            for item in items:
+                now = reply if isinstance(reply, int) else 0
+                if type(item) is Compute:
+                    i = self.overload.intensity_at(now)
+                    if i > 0.0 and self.compute_factor > 0.0:
+                        inflated = int(item.duration * (1.0 + i * self.compute_factor))
+                        if inflated != item.duration:
+                            self._note("overload", now, extra_ns=inflated - item.duration)
+                            item = Compute(inflated)
+                elif type(item) is Syscall and item.block is not None:
+                    i = self.mode_switch.intensity_at(now)
+                    if i > 0.0 and self.period_factor > 0.0:
+                        stretched = self._stretch(item, now, 1.0 + i * self.period_factor)
+                        if stretched is not None:
+                            self._note("mode-switch", now)
+                            item = stretched
+                reply = yield item
 
     @staticmethod
     def _stretch(instr: Syscall, now: int, factor: float) -> Syscall | None:

@@ -95,6 +95,15 @@ def _scalar(value: Any, kind: str, key: str, where: str) -> Any:
     raise SpecError(f"{where}: {key!r} must be {noun}, got {value!r}")
 
 
+def _workload_tables(doc: dict[str, Any], where: str) -> list[dict[str, Any]]:
+    """The ``[[workload]]`` entries of ``doc``: an array of tables, or a
+    :class:`SpecError`."""
+    entries = doc.get("workload", [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise SpecError(f"{where}: 'workload' must be an array of tables ([[workload]])")
+    return entries
+
+
 def _int_field(table: dict[str, Any], key: str, default: int, where: str) -> int:
     return _scalar(table.get(key, default), "int", key, where)
 
@@ -129,6 +138,8 @@ def from_table(cls: type[_Spec], table: dict[str, Any], where: str) -> _Spec:
     plain ``ValueError`` raised there comes back as a :class:`SpecError`
     prefixed with ``where``.
     """
+    if not isinstance(table, dict):
+        raise SpecError(f"{where}: must be a table, got {table!r}")
     spec_fields = _toml_fields(cls)
     _reject_unknown(table, spec_fields, where)
     kwargs = {}
@@ -425,9 +436,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> ScenarioSpec:
     if not isinstance(scenario, dict):
         raise SpecError("document: [scenario] must be a table")
     _reject_unknown(scenario, _SCENARIO_KEYS, "scenario")
-    workloads_raw = doc.get("workload", [])
-    if not isinstance(workloads_raw, list):
-        raise SpecError("document: 'workload' must be an array of tables ([[workload]])")
+    workloads_raw = _workload_tables(doc, "document")
     fault_raw = doc.get("fault", {})
     if not isinstance(fault_raw, dict):
         raise SpecError("document: [fault] must be a table")

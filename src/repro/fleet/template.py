@@ -33,7 +33,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.fleet.spec import ScenarioSpec, SpecError, _reject_unknown, load_toml, scenario_from_dict
+from repro.fleet.spec import (
+    ScenarioSpec,
+    SpecError,
+    _reject_unknown,
+    _workload_tables,
+    load_toml,
+    scenario_from_dict,
+)
 
 _TEMPLATE_TOP_KEYS = (
     "template",
@@ -79,6 +86,7 @@ def parse_template(text: str) -> FleetTemplate:
     """Parse template TOML into a :class:`FleetTemplate` (strict keys)."""
     doc = load_toml(text)
     _reject_unknown(doc, _TEMPLATE_TOP_KEYS, "template document")
+    _workload_tables(doc, "template document")
     meta = doc.get("template", {})
     if not isinstance(meta, dict):
         raise SpecError("template document: [template] must be a table")
@@ -152,7 +160,10 @@ def _resolve_tables(doc: dict[str, Any], path: str) -> list[tuple[dict[str, Any]
     if head in ("scenario", "scheduler", "fault", "controller"):
         if len(parts) != 2:
             raise SpecError(f"path {path!r}: expected '{head}.<field>'")
-        return [(doc.setdefault(head, {}), parts[1])]
+        table = doc.setdefault(head, {})
+        if not isinstance(table, dict):
+            raise SpecError(f"path {path!r}: [{head}] must be a table, got {table!r}")
+        return [(table, parts[1])]
     raise SpecError(
         f"path {path!r}: must start with 'scenario', 'scheduler', 'fault', "
         "'controller' or 'workload'"

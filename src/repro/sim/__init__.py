@@ -6,7 +6,8 @@ kernel used by the paper.  It provides:
 - a nanosecond-resolution virtual clock and event calendar (:mod:`.engine`),
 - a process model whose *programs* are Python generators yielding
   :class:`~repro.sim.instructions.Compute` / :class:`~repro.sim.instructions.Syscall`
-  instructions (:mod:`.process`, :mod:`.instructions`),
+  instructions, alone or as :class:`~repro.sim.instructions.Burst` runs
+  (:mod:`.process`, :mod:`.instructions`),
 - a syscall taxonomy mirroring the calls observed in the paper's traces
   (:mod:`.syscalls`),
 - a single-CPU kernel that ties processes, a pluggable scheduler, tracers
@@ -18,7 +19,16 @@ experiments (100-repetition PMFs etc.) reproducible.
 """
 
 from repro.sim.engine import EventQueue, ScheduledEvent
-from repro.sim.instructions import BlockSpec, Compute, Instruction, SleepFor, SleepUntil, Syscall, WaitEvent
+from repro.sim.instructions import (
+    BlockSpec,
+    Burst,
+    Compute,
+    Instruction,
+    SleepFor,
+    SleepUntil,
+    Syscall,
+    WaitEvent,
+)
 from repro.sim.kernel import Kernel, KernelConfig
 from repro.sim.multicore import MultiCoreKernel, SmpScheduler
 from repro.sim.process import Process, ProcState
@@ -31,6 +41,7 @@ __all__ = [
     "Instruction",
     "Compute",
     "Syscall",
+    "Burst",
     "BlockSpec",
     "SleepUntil",
     "SleepFor",

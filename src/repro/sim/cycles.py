@@ -13,8 +13,9 @@ This module exploits that theorem without giving up bit-identity:
    server periods) using ``Kernel.run(..., stop_before_switch=True)``, so
    chunked stepping is indistinguishable from one monolithic ``run``;
 2. at each boundary a :func:`state_digest` is taken — event-calendar shape,
-   per-process program positions and block states, scheduler state with
-   absolute times normalised against ``now``, and workload RNG/phase state;
+   per-process program positions (a burst's items still to run included)
+   and block states, scheduler state with absolute times normalised
+   against ``now``, and workload RNG/phase state;
 3. when a digest repeats, the simulation stops stepping and *extrapolates*:
    the recorded cycle's switch trace is replayed ``K`` more times with
    time offsets, its latency samples go to each process's accumulator
@@ -41,7 +42,14 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.sim.instructions import SleepFor, SleepUntil, WaitEvent
+from repro.sim.instructions import (
+    Compute,
+    Instruction,
+    SleepFor,
+    SleepUntil,
+    Syscall,
+    WaitEvent,
+)
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process, Program, Segment
 from repro.sim.time import hyperperiod
@@ -153,6 +161,20 @@ def _segment_entry(segment: Segment | None, now: int) -> tuple[object, ...] | No
     return (segment.kind.value, segment.remaining, syscall_nr, block_entry, entry_time)
 
 
+def _burst_entry(rest: list[Instruction]) -> tuple[tuple[object, ...], ...]:
+    """Digest the items of a burst a process still has to run one at a
+    time, in the order they will run (``rest`` holds them last first)."""
+    entry: list[tuple[object, ...]] = []
+    for item in reversed(rest):
+        if type(item) is Compute:
+            entry.append(("compute", item.duration))
+        elif type(item) is Syscall:
+            entry.append(("syscall", item.nr.name, item.cost))
+        else:  # pragma: no cover - a Burst admits no other item
+            raise CycleIneligible(f"unknown burst item {item!r}")
+    return tuple(entry)
+
+
 def _adapter_entry(info: ProgramCycleInfo) -> tuple[object, ...]:
     """Digest a program's grid position, remaining jobs and RNG state."""
     remaining: object = None
@@ -201,6 +223,7 @@ def state_digest(kernel: Kernel, now: int) -> str:
                 proc.started,
                 proc.woken_at - now if proc.woken_at is not None else None,
                 _segment_entry(proc.segment, now),
+                _burst_entry(proc.burst_rest),
                 _adapter_entry(info),
             )
         )

@@ -14,9 +14,15 @@ timestamp, so programs can be written in a natural imperative style::
 Blocking semantics mirror Linux: a blocking system call consumes its kernel
 entry cost, suspends the process, and *returns* (the tracer's syscall-exit
 event fires) only after the process has been woken and scheduled again.
+
+A :class:`Burst` is a run of ``Compute`` and non-blocking ``Syscall``
+items yielded as one instruction: the program is resumed once, after the
+last item.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable
 
 from repro.sim.syscalls import SyscallNr, default_cost  # noqa: F401 - re-export
 
@@ -197,3 +203,52 @@ class Label(Instruction):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Label(name={self.name!r}, payload={self.payload!r})"
+
+
+class Burst(Instruction):
+    """A run of CPU work: ``Compute`` and non-blocking ``Syscall`` items.
+
+    Yielding a burst means exactly yielding its items in order, except
+    that the program is resumed once, after the last item, with the
+    clock of that instant.  Its CPU total (each ``Compute`` duration
+    plus each call's ``max(cost, 1)``, as a call's segment is at least
+    1 ns) and its call count are computed here, once:
+    :meth:`repro.sim.kernel.Kernel.run` completes a burst in one step
+    from them when nothing can happen between its items, and otherwise
+    runs the items one at a time.  Players build their loop-invariant
+    bursts once and yield them repeatedly, so a burst is immutable.
+    """
+
+    __slots__ = ("items", "cpu", "calls")
+
+    items: tuple[Compute | Syscall, ...]
+    cpu: int
+    calls: int
+
+    def __init__(self, items: Iterable[Compute | Syscall]) -> None:
+        run = tuple(items)
+        if not run:
+            raise ValueError("a burst needs at least one item")
+        cpu = calls = 0
+        for item in run:
+            if type(item) is Compute:
+                cpu += item.duration
+            elif type(item) is Syscall and item.block is None:
+                cpu += item.cost if item.cost > 1 else 1
+                calls += 1
+            else:
+                raise TypeError(
+                    f"a burst holds Compute and non-blocking Syscall items, got {item!r}"
+                )
+        object.__setattr__(self, "items", run)
+        object.__setattr__(self, "cpu", cpu)
+        object.__setattr__(self, "calls", calls)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Burst is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Burst is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Burst(items={self.items!r})"

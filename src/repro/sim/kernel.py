@@ -18,13 +18,16 @@ pick.  A chain charges its CPU in one ``charge`` call per point where
 scheduler state is read (:meth:`Kernel._settle`), not one per segment;
 the scheduler contract's composition clause makes that the same policy
 state.  A chained segment costs one generator resume and one refill of
-the process's own segment, and a sleep that wakes later blocks without
-leaving the chain's loop.  Every other per-segment effect (clock, the
-value sent into the program, tracer calls) is the same as with a re-pick
-after every segment; see :meth:`Kernel.run`.  Whatever the loop does not
-do inline (a first fetch, ``Fire``, ``Label``, a ``WaitEvent``, an
-expired sleep, a traced call, program exit) takes one out-of-line path,
-:meth:`Kernel._advance`.
+the process's own segment, a :class:`~repro.sim.instructions.Burst` (a
+run of ``Compute`` and non-blocking ``Syscall`` items) that ends before
+the chain's limit is completed in one step and one resume, and a sleep
+that wakes later blocks without leaving the chain's loop.  Every other
+per-segment effect (clock, the value sent into the program, tracer
+calls) is the same as with a re-pick after every segment; see
+:meth:`Kernel.run`.  Whatever the loop does not do inline (a first
+fetch, a ``Fire`` that wakes a waiter, a probed ``Label``, a
+``WaitEvent``, an expired sleep, a traced call, program exit) takes one
+out-of-line path, :meth:`Kernel._advance`.
 
 System calls are traced through pluggable hooks (see
 :mod:`repro.tracer.qtrace`); each hook may add kernel CPU overhead to the
@@ -41,6 +44,7 @@ from typing import TYPE_CHECKING, Protocol, cast
 from repro.sim.engine import EventQueue, ScheduledEvent
 from repro.sim.instructions import (
     BlockSpec,
+    Burst,
     Compute,
     Fire,
     Instruction,
@@ -344,6 +348,9 @@ class Kernel:
         non-blocking call, an expired sleep or a return counts the
         syscall and runs the tracers' exit hooks; their extra cost becomes
         a ``USER`` segment, burnt before the next instruction is fetched.
+        A ``Burst`` runs here one item at a time: its other items wait in
+        :attr:`Process.burst_rest` and are pulled, here or inline, before
+        the program is resumed again.
         """
         # the clock cannot advance in here: zero-time instructions (Fire,
         # Label) only change scheduler or waiter state
@@ -374,20 +381,29 @@ class Kernel:
                     proc.segment = seg.refill(SegmentKind.USER, extra)
                     return
         program = proc.program
+        rest = proc.burst_rest
         exited = ProcState.EXITED
         # proc.state check instead of the ``alive`` property: this loop
         # runs once per yielded instruction
         while proc.state is not exited:
             if instr is None:
-                try:
-                    if proc.started:
-                        instr = program.send(clock)
-                    else:
-                        instr = next(program)
-                        proc.started = True
-                except Exception as exc:  # noqa: BLE001 - crash containment
-                    self._program_ended(proc, exc, clock)
-                    return
+                if rest:
+                    instr = rest.pop()
+                else:
+                    try:
+                        if proc.started:
+                            instr = program.send(clock)
+                        else:
+                            instr = next(program)
+                            proc.started = True
+                    except Exception as exc:  # noqa: BLE001 - crash containment
+                        self._program_ended(proc, exc, clock)
+                        return
+            if type(instr) is Burst:
+                # out of line, a burst's items run one at a time; the rest
+                # wait on the process and go before the program's next resume
+                rest.extend(reversed(instr.items))
+                instr = rest.pop()
             if type(instr) is Compute:
                 if instr.duration > 0:
                     proc.segment = proc.own_segment.refill(SegmentKind.USER, instr.duration)
@@ -521,9 +537,26 @@ class Kernel:
         raised, ``on_block``, the wake-up pushed, and the segment turned
         into its ``SYSCALL_RETURN``.  Everything else (a first fetch, a
         ``WaitEvent`` or an expired sleep, traced processes' syscalls and
-        returns, ``Fire``, ``Label``, program exit) goes through
-        :meth:`_advance`, the one out-of-line path, which the multicore
-        kernel also uses.  A context switch burns wall time only.
+        returns, a ``Fire`` some process waits on, a ``Label`` a probe
+        watches, program exit) goes through :meth:`_advance`, the one
+        out-of-line path, which the multicore kernel also uses.  A
+        ``Fire`` no process waits on and a ``Label`` no probe watches
+        change no state, and the inline fetch passes over them.  A context
+        switch burns wall time only.
+
+        An inline fetch completes a :class:`~repro.sim.instructions.Burst`
+        in one step, when no attached tracer traces the process,
+        ``_resched`` is down, the calendar gained no event since the peek
+        and the burst's CPU total ends strictly before the chain's limit:
+        the clock, ``proc.syscall_count`` and ``stats.syscalls`` advance
+        by the burst's totals at once, and the program is resumed once,
+        with the clock after its last item.  Nothing could act between
+        the items: no calendar event or bound falls inside, no kernel
+        path runs, and the items' segments would all have run in this
+        chain.  Otherwise the items run one at a time, exactly as if
+        yielded one by one, from :attr:`Process.burst_rest`, which every
+        fetch, inline or in :meth:`_advance`, empties before it resumes
+        the program.
 
         This is the hottest loop of the simulator; scheduler/calendar
         methods and config fields are cached in locals, and the due-event
@@ -544,6 +577,8 @@ class Kernel:
         stats = self.stats
         obs = self._obs
         tracers = self.tracers
+        waiters = self._waiters
+        probes = self._label_probes
         cs_cost = self.config.context_switch_cost
         running = ProcState.RUNNING
         ready = ProcState.READY
@@ -648,6 +683,7 @@ class Kernel:
                         untraced = False
             pushes = events._seq
             send = proc.program.send
+            rest = proc.burst_rest
             self._chain = proc
             self._charged_to = clock
             try:
@@ -678,15 +714,38 @@ class Kernel:
                             proc.syscall_count += 1
                             stats.syscalls += 1
                         while True:
-                            try:
-                                instr = send(clock)
-                            except Exception as exc:  # noqa: BLE001 - crash containment
-                                proc.segment = None
-                                self._program_ended(proc, exc, clock)
-                                segment = None
-                                break
+                            if rest:
+                                instr = rest.pop()
+                            else:
+                                try:
+                                    instr = send(clock)
+                                except Exception as exc:  # noqa: BLE001 - crash containment
+                                    proc.segment = None
+                                    self._program_ended(proc, exc, clock)
+                                    segment = None
+                                    break
                             # ``type(...) is`` (not ``__class__``) narrows for mypy
-                            if type(instr) is Compute:
+                            if type(instr) is Burst:
+                                cpu = instr.cpu
+                                if (
+                                    clock + cpu < limit
+                                    and (not tracers or untraced)
+                                    and not self._resched
+                                    and events._seq == pushes
+                                ):
+                                    # one step: no event, bound, probe or
+                                    # tracer can act between the items,
+                                    # and the program resumes once (a
+                                    # push by the body may fall before
+                                    # ``limit``, as it may end the chain)
+                                    clock += cpu
+                                    self.clock = clock
+                                    calls = instr.calls
+                                    proc.syscall_count += calls
+                                    stats.syscalls += calls
+                                else:
+                                    rest.extend(reversed(instr.items))
+                            elif type(instr) is Compute:
                                 if instr.duration > 0:
                                     segment.kind = user
                                     segment.remaining = instr.duration
@@ -704,7 +763,14 @@ class Kernel:
                                 segment.block = instr.block
                                 segment.entry_time = clock
                                 break
-                            else:
+                            elif not (
+                                (type(instr) is Fire and instr.key not in waiters)
+                                or (type(instr) is Label and instr.name not in probes)
+                            ):
+                                # a Fire that wakes, a probed Label, a traced
+                                # syscall or an unknown class; a Fire no one
+                                # waits on and a Label no probe watches
+                                # change nothing, and the fetch goes on
                                 proc.segment = None
                                 self._advance(proc, instr)
                                 segment = proc.segment

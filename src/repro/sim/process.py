@@ -182,6 +182,7 @@ class Process:
         "sched_latency",
         "woken_at",
         "own_segment",
+        "burst_rest",
     )
 
     def __init__(self, pid: int, name: str, program: Program) -> None:
@@ -197,6 +198,10 @@ class Process:
         self.segment: Segment | None = None
         #: the one segment the kernel refills for this process
         self.own_segment = Segment(SegmentKind.USER, 0)
+        #: the items of a :class:`~repro.sim.instructions.Burst` still to
+        #: run one at a time, last item first (the next is ``pop()``-ed);
+        #: the kernel takes them before it resumes the program again
+        self.burst_rest: list[Instruction] = []
         #: total CPU time consumed (user + kernel), ns
         self.cpu_time = 0
         #: wall-clock time the process exited, or None while alive

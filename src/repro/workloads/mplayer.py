@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.cycles import GridIndex, ProgramCycleInfo, register_cycle_adapter
-from repro.sim.instructions import Compute, Label, SleepUntil, Syscall
+from repro.sim.instructions import Burst, Compute, Label, SleepUntil, Syscall
 from repro.sim.process import Program
 from repro.sim.syscalls import SyscallNr
 from repro.sim.time import MS, US
@@ -92,6 +92,8 @@ class AudioPlayerConfig:
             raise ValueError("costs must be non-negative")
         if self.writes_per_period < 1 or self.write_burst < 0:
             raise ValueError("writes_per_period must be >= 1 and write_burst >= 0")
+        if self.start_burst < 0:
+            raise ValueError(f"start_burst must be >= 0, got {self.start_burst}")
         if not (0 <= self.decode_jitter < math.inf and 0 <= self.release_jitter < math.inf):
             raise ValueError("decode_jitter and release_jitter must be finite and >= 0")
 
@@ -120,10 +122,14 @@ class AudioPlayer:
         slot_len = cfg.period // cfg.writes_per_period
         # instructions are immutable to the kernel, so the loop-invariant
         # ones are built once and yielded repeatedly (a Syscall per burst
-        # call was the single biggest allocation source of the simulator)
+        # call was the single biggest allocation source of the simulator);
+        # a device chunk's gaps and calls, and each gap-and-call pair of
+        # the start burst, are one Burst: the kernel resumes the body once
+        # per run of CPU work, not once per gap and call
         gap = Compute(cfg.intra_burst_gap)
         ioctl = Syscall(SyscallNr.IOCTL)
-        burst_calls = [Syscall(nr) for nr in MPLAYER_CALL_MIX]
+        write = Burst((gap, ioctl) * cfg.write_burst) if cfg.write_burst else None
+        burst_pairs = [Burst((gap, Syscall(nr))) for nr in MPLAYER_CALL_MIX]
         # ``loc + scale * standard_normal()`` is numpy's ``normal(loc,
         # scale)`` to the bit, without its per-call argument handling
         decode_scale = cfg.decode_jitter * cfg.decode_cost
@@ -146,15 +152,13 @@ class AudioPlayer:
                             for _ in range(cfg.refill_reads):
                                 yield disk.read_instruction()
                         # once per period: fetch input, query clocks, decode
-                        for call in sample_burst(rng, cfg.start_burst, burst_calls):
-                            yield gap
-                            yield call
+                        for pair in sample_burst(rng, cfg.start_burst, burst_pairs):
+                            yield pair
                         cost = max(1, int(cfg.decode_cost + decode_scale * rng.standard_normal()))
                         yield Compute(cost)
                     # push one device chunk (ioctl-heavy ALSA path)
-                    for _ in range(cfg.write_burst):
-                        yield gap
-                        yield ioctl
+                    if write is not None:
+                        yield write
                 grid.index += 1
                 self.frames_played += 1
 
@@ -207,6 +211,9 @@ class VideoPlayerConfig:
             raise ValueError(f"gop must be a non-empty string over 'IPB', got {self.gop!r}")
         if not 0 <= self.decode_jitter < math.inf:
             raise ValueError(f"decode_jitter must be finite and >= 0, got {self.decode_jitter}")
+        for name in ("i_cost", "p_cost", "b_cost", "intra_burst_gap", "start_burst", "end_burst"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def frame_cost(self, index: int) -> int:
         """Nominal decode cost of frame ``index`` per the GOP pattern."""

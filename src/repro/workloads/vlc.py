@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.cycles import GridIndex, ProgramCycleInfo, register_cycle_adapter
-from repro.sim.instructions import Compute, Fire, Label, SleepUntil, Syscall, WaitEvent
+from repro.sim.instructions import Burst, Compute, Fire, Label, SleepUntil, Syscall, WaitEvent
 from repro.sim.process import Program
 from repro.sim.syscalls import SyscallNr
 from repro.sim.time import MS, US
@@ -57,6 +57,9 @@ class VlcConfig:
             raise ValueError("period must be positive and queue_depth >= 1")
         if not 0 <= self.decode_jitter < math.inf:
             raise ValueError(f"decode_jitter must be finite and >= 0, got {self.decode_jitter}")
+        for name in ("decode_cost", "blit_cost", "intra_burst_gap", "decode_burst", "blit_burst"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     @property
     def utilisation(self) -> float:
@@ -93,10 +96,12 @@ class VlcPlayer:
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
         grid = GridIndex()
-        # loop-invariant instructions, built once (immutable to the kernel)
+        # loop-invariant instructions, built once (immutable to the kernel);
+        # the reads around a frame are one Burst
         wait_slot = Syscall(SyscallNr.FUTEX, block=WaitEvent(self._slot_free))
         gap = Compute(cfg.intra_burst_gap)
         read = Syscall(SyscallNr.READ)
+        reads = Burst((gap, read) * cfg.decode_burst) if cfg.decode_burst else None
         frame_ready = Fire(self._frame_ready)
         # ``loc + scale * standard_normal()`` is numpy's ``normal(loc,
         # scale)`` to the bit, without its per-call argument handling
@@ -106,9 +111,8 @@ class VlcPlayer:
             while n_frames is None or grid.index < n_frames:
                 while len(self._queue) >= cfg.queue_depth:
                     yield wait_slot
-                for _ in range(cfg.decode_burst):
-                    yield gap
-                    yield read
+                if reads is not None:
+                    yield reads
                 if cfg.decode_jitter > 0:
                     cost = max(1, int(cfg.decode_cost + decode_scale * rng.standard_normal()))
                 else:
@@ -148,7 +152,8 @@ class VlcPlayer:
         slot_free = Fire(self._slot_free)
         gap = Compute(cfg.intra_burst_gap)
         ioctl = Syscall(SyscallNr.IOCTL)
-        blit = Compute(cfg.blit_cost)
+        # the calls around a blit and the blit itself: one Burst
+        blit = Burst((gap, ioctl) * cfg.blit_burst + (Compute(cfg.blit_cost),))
 
         def body() -> Program:
             while n_frames is None or grid.index < n_frames:
@@ -158,9 +163,6 @@ class VlcPlayer:
                     yield wait_frame
                 self._queue.popleft()
                 yield slot_free
-                for _ in range(cfg.blit_burst):
-                    yield gap
-                    yield ioctl
                 yield blit
                 yield Label(cfg.display_label, {"frame": grid.index})
                 grid.index += 1

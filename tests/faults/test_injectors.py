@@ -13,7 +13,9 @@ from repro.faults import (
 )
 from repro.core.lfspp import BandwidthRequest
 from repro.core.supervisor import Supervisor
-from repro.sim.instructions import Compute, SleepUntil, Syscall
+from repro.sched import RoundRobinScheduler
+from repro.sim.instructions import Burst, Compute, SleepFor, SleepUntil, Syscall
+from repro.sim.kernel import Kernel
 from repro.sim.syscalls import SyscallNr
 from repro.sim.time import MS, SEC
 from repro.tracer.events import EventKind, TraceEvent
@@ -188,6 +190,50 @@ class TestWorkloadFaults:
         inj = WorkloadFaults(overload=FaultPlan.constant(0.5), compute_factor=1.0, seed=0)
         self._drive(inj.wrap(self._prog()), [10 * MS, 50 * MS, 60 * MS])
         assert inj.counts["overload"] == 2
+
+    def test_burst_items_are_inflated_at_their_own_instants(self):
+        # the window opens between the burst's two Computes
+        def prog(seen):
+            seen.append((yield Burst([Compute(2 * MS), Syscall(SyscallNr.WRITE), Compute(2 * MS)])))
+
+        seen: list = []
+        inj = WorkloadFaults(overload=FaultPlan.burst(5 * MS, SEC, 1.0), compute_factor=1.0)
+        instrs = self._drive(inj.wrap(prog(seen)), [3 * MS, 6 * MS, 8 * MS])
+        assert [type(i).__name__ for i in instrs] == ["Compute", "Syscall", "Compute"]
+        assert instrs[0].duration == 2 * MS and instrs[2].duration == 4 * MS
+        # the program is resumed once, with the value after the last item
+        assert seen == [8 * MS]
+        assert inj.counts == {"overload": 1}
+
+    @pytest.mark.parametrize("window", [(0, SEC), (20 * MS + 500_000, 61 * MS), (30 * MS, 45 * MS)])
+    def test_overload_inflates_a_burst_as_its_items_one_by_one(self, window):
+        ioctl, write = Syscall(SyscallNr.IOCTL), Syscall(SyscallNr.WRITE)
+        items = [Compute(1 * MS), ioctl, Compute(2 * MS), write]
+
+        def prog(bursts, seen):
+            for _ in range(30):
+                if bursts:
+                    now = yield Burst(items)
+                else:
+                    for item in items:
+                        now = yield item
+                seen.append(now)
+                yield Syscall(SyscallNr.NANOSLEEP, block=SleepFor(1 * MS))
+
+        def run(bursts):
+            inj = WorkloadFaults(overload=FaultPlan.burst(*window, 1.0), compute_factor=0.5)
+            kernel = Kernel(RoundRobinScheduler(timeslice=1 * MS))
+            switches: list = []
+            kernel.switch_hook = lambda proc, now: switches.append((proc.pid, now))
+            seen: list = []
+            proc = kernel.spawn("player", inj.wrap(prog(bursts, seen)))
+            kernel.spawn("hog", (instr for instr in [Compute(50 * MS)]))
+            kernel.run(200 * MS)
+            return seen, switches, proc.cpu_time, proc.syscall_count, inj.counts, kernel.clock
+
+        with_bursts = run(True)
+        assert with_bursts == run(False)
+        assert with_bursts[4]["overload"] > 0
 
 
 class TestClockCoarsening:

@@ -152,6 +152,27 @@ class TestActionableErrors:
         with pytest.raises(SpecError):
             scenario_from_dict({"scenario": {"name": "n", "horizon_ms": 1.0}})
 
+    @pytest.mark.parametrize("workload", [[1, 2], [{"kind": "mplayer", "name": "a"}, "b"]])
+    def test_workload_entries_must_be_tables(self, workload):
+        # an entry that is not a table used to end in AttributeError
+        with pytest.raises(SpecError, match="array of tables"):
+            scenario_from_dict({"scenario": {"name": "n", "horizon_ms": 1.0}, "workload": workload})
+
+    def test_scheduler_must_be_a_table(self):
+        with pytest.raises(SpecError, match="scheduler: must be a table"):
+            scenario_from_dict(
+                {
+                    "scenario": {"name": "n", "horizon_ms": 1.0},
+                    "scheduler": 5,
+                    "workload": [{"kind": "mplayer", "name": "a"}],
+                }
+            )
+
+    def test_template_paths_into_a_non_table(self):
+        text = '[template]\nname = "t"\n[scenario]\nhorizon_ms = 1.0\n[grid]\n"fault.x" = [1]\n'
+        with pytest.raises(SpecError, match=r"\[fault\] must be a table"):
+            parse_template("fault = 3\n" + text)
+
     def test_periodic_requires_period(self):
         with pytest.raises(SpecError):
             scenario_from_dict(

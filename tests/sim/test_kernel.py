@@ -679,3 +679,41 @@ class TestInlineSleep:
         assert [c for c in calls if c[1] == "traced"] == [
             ("complete", "traced", "syscall_return", "NoneType")
         ]
+
+
+class TestInlineZeroTime:
+    def test_only_a_fire_that_wakes_and_a_probed_label_reach_the_helper(self):
+        # a Fire no process waits on and a Label no probe watches change
+        # nothing, and the inline fetch passes over them
+        kernel = make_kernel()
+        helper = []
+        advance = kernel._advance
+
+        def logged_advance(proc, instr=None):
+            helper.append(type(instr).__name__)
+            advance(proc, instr)
+
+        kernel._advance = logged_advance
+        labels = []
+        kernel.add_label_probe("seen", lambda proc, now, payload: labels.append(now))
+
+        def waiter():
+            yield Syscall(SyscallNr.FUTEX, cost=1 * US, block=WaitEvent("go"))
+
+        def runner():
+            yield Compute(100 * US)
+            yield Fire("nobody")
+            yield Label("unwatched")
+            yield Compute(100 * US)
+            yield Label("seen")
+            yield Compute(100 * US)
+            yield Fire("go")
+            yield Compute(100 * US)
+
+        kernel.spawn("waiter", waiter())
+        kernel.spawn("runner", runner())
+        kernel.run(5 * MS)
+        assert all(p.state is ProcState.EXITED for p in kernel.processes.values())
+        # first fetches and the waiter's completed wait pass None
+        assert sorted(helper) == ["Fire", "Label", "NoneType", "NoneType", "NoneType"]
+        assert labels == [201 * US]

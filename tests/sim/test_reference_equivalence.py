@@ -20,10 +20,12 @@ separates two charges, so the stream still checks exactly where each
 charge is settled against every state change.
 
 The property test draws random programs over every instruction kind
-(including probes that reach scheduler state, bodies that call into the
-kernel directly, and traced-set changes from a body, a probe and a
-timer) under every uniprocessor scheduler and three ways of running: one
-``run``, chunked runs, and chunks with ``stop_before_switch``.  The
+(including bursts, probes that reach scheduler state, bodies that call
+into the kernel directly, and traced-set changes from a body, a probe
+and a timer) under every uniprocessor scheduler and three ways of
+running: one ``run``, chunked runs, and chunks with
+``stop_before_switch``.  The reference runs every burst one item at a
+time, through ``_advance``.  The
 deterministic tests below it pin one chain end each: without that end
 the chain would run past where the reference re-decides.  One pins a
 calendar cancel, which is no chain end.
@@ -45,6 +47,7 @@ from repro.sched import (
 )
 from repro.sched.cbs import ServerParams
 from repro.sim import (
+    Burst,
     Compute,
     Kernel,
     KernelConfig,
@@ -115,10 +118,24 @@ class _LoggingQTracer(QTracer):
         return cost
 
 
-def _program(kernel: Kernel, ops: list[tuple[int, int]], reps: int, seen: list, retrace):
+def _burst_item(kind: int, mag: int) -> Compute | Syscall:
+    """A burst item: a Compute, a WRITE costing ``mag`` µs or an IOCTL
+    costing ``mag`` ns; ``mag`` 0 gives a zero Compute and zero-cost
+    calls, which take 1 ns."""
+    if kind == 0:
+        return Compute(mag * 10 * US)
+    if kind == 1:
+        return Syscall(SyscallNr.WRITE, cost=mag * US)
+    return Syscall(SyscallNr.IOCTL, cost=mag)
+
+
+def _program(kernel: Kernel, ops: list, reps: int, seen: list, retrace, bursts: bool = True):
     """A program over every instruction kind; ``seen`` logs what it is sent.
 
-    ``retrace(mag)`` changes the traced set (see ``_build``)."""
+    ``retrace(mag)`` changes the traced set (see ``_build``).  Kind 11
+    yields its items as one ``Burst``, or one by one when ``bursts`` is
+    false; either way ``seen`` logs only the value sent after the last
+    item."""
     pending = []
     for _ in range(reps):
         for kind, mag in ops:
@@ -152,6 +169,13 @@ def _program(kernel: Kernel, ops: list[tuple[int, int]], reps: int, seen: list, 
                 if pending:
                     pending.pop(0).cancel()
                 now = yield Compute(mag * 5 * US)
+            elif kind == 11:
+                items = [_burst_item(*item) for item in mag]
+                if bursts:
+                    now = yield Burst(items)
+                else:
+                    for item in items:
+                        now = yield item
             else:
                 # a body that changes the traced set between two syscalls
                 retrace(mag)
@@ -161,29 +185,46 @@ def _program(kernel: Kernel, ops: list[tuple[int, int]], reps: int, seen: list, 
         raise RuntimeError("crash on purpose")
 
 
-op = st.tuples(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=20))
-proc_spec = st.tuples(
-    st.lists(op, min_size=1, max_size=10),
-    st.integers(min_value=1, max_value=4),  # reps
-    st.integers(min_value=0, max_value=3),  # admission delay, ms (0 = now)
+#: a burst's items, as ``_burst_item`` arguments
+burst_items = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=20)),
+    min_size=1,
+    max_size=6,
+).map(tuple)
+op = st.integers(min_value=0, max_value=11).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind), burst_items if kind == 11 else st.integers(min_value=0, max_value=20)
+    )
 )
-scenario = st.fixed_dictionaries(
-    {
-        "sched": st.sampled_from(SCHEDULERS),
-        "procs": st.lists(proc_spec, min_size=1, max_size=4),
-        "servers": st.lists(
-            st.tuples(st.integers(1, 6), st.integers(6, 20)),  # budget, period (ms)
-            min_size=1,
-            max_size=2,
-        ),
-        "cs_cost": st.sampled_from([0, 2_000, 50_000]),
-        "tracer": st.sampled_from([None, (0, 0), (3_000, 0), (2_000, 7_000)]),
-        "slice_us": st.integers(min_value=50, max_value=4_000),
-        "horizon_ms": st.integers(min_value=5, max_value=120),
-        "cuts": st.lists(st.integers(min_value=1, max_value=119_999), max_size=6),
-        "schedule": st.sampled_from(["single", "chunked", "stop_before_switch"]),
-    }
-)
+
+
+def scenarios(op) -> st.SearchStrategy[dict]:
+    """Scenarios whose programs are drawn from the instruction kinds ``op``."""
+    proc_spec = st.tuples(
+        st.lists(op, min_size=1, max_size=10),
+        st.integers(min_value=1, max_value=4),  # reps
+        st.integers(min_value=0, max_value=3),  # admission delay, ms (0 = now)
+    )
+    return st.fixed_dictionaries(
+        {
+            "sched": st.sampled_from(SCHEDULERS),
+            "procs": st.lists(proc_spec, min_size=1, max_size=4),
+            "servers": st.lists(
+                st.tuples(st.integers(1, 6), st.integers(6, 20)),  # budget, period (ms)
+                min_size=1,
+                max_size=2,
+            ),
+            "cs_cost": st.sampled_from([0, 2_000, 50_000]),
+            "tracer": st.sampled_from([None, (0, 0), (3_000, 0), (2_000, 7_000)]),
+            "slice_us": st.integers(min_value=50, max_value=4_000),
+            "horizon_ms": st.integers(min_value=5, max_value=120),
+            "cuts": st.lists(st.integers(min_value=1, max_value=119_999), max_size=6),
+            "schedule": st.sampled_from(["single", "chunked", "stop_before_switch"]),
+        }
+    )
+
+
+scenario = scenarios(op)
 
 
 def _scheduler(kind: str, slice_us: int):
@@ -199,9 +240,10 @@ def _scheduler(kind: str, slice_us: int):
     return StrideScheduler(quantum=slice_ns)
 
 
-def _record(kernel: Kernel) -> dict[str, list]:
+def _record(kernel: Kernel, merge: bool = True) -> dict[str, list]:
     """Log every context switch and every scheduler call of ``kernel``;
-    adjacent charges of one process merge (see the module docstring)."""
+    with ``merge``, adjacent charges of one process merge (see the module
+    docstring)."""
     log: dict[str, list] = {"switch": [], "sched": []}
     kernel.switch_hook = lambda proc, now: log["switch"].append((proc.pid, now))
     sched = kernel.scheduler
@@ -210,7 +252,7 @@ def _record(kernel: Kernel) -> dict[str, list]:
 
     def charge(proc, delta, now):
         last = stream[-1] if stream else None
-        if last is not None and last[0] == "charge" and last[1] == proc.pid:
+        if merge and last is not None and last[0] == "charge" and last[1] == proc.pid:
             stream[-1] = ("charge", proc.pid, last[2] + delta, now)
         else:
             stream.append(("charge", proc.pid, delta, now))
@@ -229,10 +271,12 @@ def _record(kernel: Kernel) -> dict[str, list]:
     return log
 
 
-def _build(kernel_cls, sc: dict):
+def _build(kernel_cls, sc: dict, *, bursts: bool = True, merge: bool = True):
+    """``sc``'s kernel, processes, sent-value logs and call logs;
+    ``bursts`` and ``merge`` go to ``_program`` and ``_record``."""
     sched = _scheduler(sc["sched"], sc["slice_us"])
     kernel = kernel_cls(sched, KernelConfig(context_switch_cost=sc["cs_cost"]))
-    log = _record(kernel)
+    log = _record(kernel, merge)
     log.update(tracer=[], probe=[])
     if sc["tracer"] is not None:
         kernel.add_tracer(_CountingTracer(*sc["tracer"], log["tracer"]))
@@ -277,7 +321,7 @@ def _build(kernel_cls, sc: dict):
     procs, seen = [], []
     for i, (ops, reps, delay_ms) in enumerate(sc["procs"]):
         seen.append([])
-        program = _program(kernel, ops, reps, seen[-1], retrace)
+        program = _program(kernel, ops, reps, seen[-1], retrace, bursts)
         proc = kernel.spawn(f"p{i}", program, at=delay_ms * MS or None)
         procs.append(proc)
         if sc["sched"] == "edf":

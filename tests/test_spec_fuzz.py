@@ -8,7 +8,10 @@ tables.  Each document must either be rejected with a ``SpecError`` or a
 so that no candidate of a tune and no simulation ever starts on a NaN
 or an infinite value.  Fleet templates get the same treatment for their
 ``[grid]`` and ``[jitter]`` tables: any value under any dotted path
-either expands or is a ``SpecError``.
+either expands or is a ``SpecError``.  So do the top-level values of
+scenario and template documents: a ``workload`` array of any TOML
+value, a ``[template]`` that is not a table, and unknown top-level
+tables.
 """
 
 import json
@@ -192,6 +195,63 @@ def test_fleet_template_grid_and_jitter_raise_only_spec_errors(grid, jitter, mis
             text += f"\n[{key}]\n" + "".join(f"{toml(k)} = {toml(v)}\n" for k, v in table.items())
     try:
         for _ in expand_template(parse_template(text)):
+            pass
+    except SpecError:
+        pass
+
+
+#: a ``workload`` value: any TOML value, or an array of them (inline
+#: tables among them)
+workload_values = toml_values | st.lists(toml_values, max_size=3)
+SCENARIO_BODY = """
+[scenario]
+name = "fuzz"
+horizon_ms = 50.0
+
+[scheduler]
+kind = "cbs"
+policy = "hard"
+"""
+WORKLOAD_TABLE = """
+[[workload]]
+kind = "periodic"
+name = "p"
+cost_ms = 1.0
+period_ms = 10.0
+"""
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    workload=st.none() | workload_values,
+    template=st.none() | toml_values.filter(lambda v: not isinstance(v, dict)),
+    unknown=st.none()
+    | st.tuples(st.sampled_from(["extra", "workloads", "param", "tune", "jitter"]), toml_values),
+    grid=st.booleans(),
+)
+@example(workload=[1, 2], template=None, unknown=None, grid=False)
+@example(workload=[1, 2], template=None, unknown=None, grid=True)
+@example(workload="ab", template=None, unknown=None, grid=True)
+@example(workload=[{"name": "p"}, 3], template=None, unknown=None, grid=True)
+@example(workload=None, template=5, unknown=None, grid=False)
+@example(workload=None, template=None, unknown=("extra", {"a": 1}), grid=False)
+def test_top_level_values_raise_only_spec_errors(workload, template, unknown, grid):
+    head = "" if workload is None else f"workload = {toml(workload)}\n"
+    if unknown is not None:
+        head += f"{unknown[0]} = {toml(unknown[1])}\n"
+    body = SCENARIO_BODY + (WORKLOAD_TABLE if workload is None else "")
+    try:
+        scenario_from_toml(head + body)
+    except SpecError:
+        pass
+    if template is None:
+        body = '[template]\nname = "fuzz"\nnodes = 2\n' + body
+    else:
+        head += f"template = {toml(template)}\n"
+    if grid:
+        body += '\n[grid]\n"workload.*.cost_ms" = [1.0, 2.0]\n"scheduler.policy" = ["soft"]\n'
+    try:
+        for _ in expand_template(parse_template(head + body)):
             pass
     except SpecError:
         pass

@@ -81,6 +81,12 @@ class TestAudioPlayer:
         with pytest.raises(ValueError, match="jitter"):
             AudioPlayerConfig(**kwargs)
 
+    def test_negative_start_burst(self):
+        # used to kill the player at its first burst with numpy's
+        # ``ValueError('negative dimensions are not allowed')``
+        with pytest.raises(ValueError, match="start_burst"):
+            AudioPlayerConfig(start_burst=-1)
+
 
 class TestVideoPlayer:
     def test_gop_costs(self):
@@ -125,6 +131,22 @@ class TestVideoPlayer:
     def test_invalid_jitter(self, jitter):
         with pytest.raises(ValueError, match="decode_jitter"):
             VideoPlayerConfig(decode_jitter=jitter)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # negative burst counts killed the player at its first burst
+            ("start_burst", -1),
+            ("end_burst", -2),
+            ("i_cost", -1),
+            ("p_cost", -1),
+            ("b_cost", -1),
+            ("intra_burst_gap", -1),
+        ],
+    )
+    def test_negative_counts_and_costs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VideoPlayerConfig(**{field: value})
 
     def test_self_pacing_catches_up_after_stall(self):
         """Frames behind the grid are decoded back to back, not delayed

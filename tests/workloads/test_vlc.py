@@ -63,6 +63,31 @@ class TestStandalone:
         with pytest.raises(ValueError, match="decode_jitter"):
             VlcConfig(decode_jitter=jitter)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # a negative unjittered decode cost killed the decoder at its
+            # first frame; negative bursts silently issued no calls
+            ("decode_cost", -5),
+            ("blit_cost", -1),
+            ("intra_burst_gap", -1),
+            ("decode_burst", -1),
+            ("blit_burst", -3),
+        ],
+    )
+    def test_negative_counts_and_costs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            VlcConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["decode_burst", "blit_burst"])
+    def test_zero_bursts_still_play(self, field):
+        kernel = Kernel(RoundRobinScheduler(), KernelConfig(context_switch_cost=0))
+        player = VlcPlayer(VlcConfig(**{field: 0}))
+        kernel.spawn("d", player.decoder_program(20))
+        kernel.spawn("o", player.output_program(20))
+        kernel.run(2 * SEC)
+        assert player.frames_displayed == 20
+
     def test_utilisation(self):
         cfg = VlcConfig(decode_cost=9 * MS, blit_cost=1 * MS, period=40 * MS)
         assert cfg.utilisation == pytest.approx(0.25)
